@@ -2,12 +2,18 @@
 //! mapping × device preset under a time-varying optical channel.
 //!
 //! A [`Campaign`] is the experiment layer's answer to "which memory system
-//! and which FEC configuration should fly": it sweeps the full cross
-//! product of DRAM presets, mapping schemes, interleaver depths and
-//! Reed–Solomon code rates through the deterministic [`Experiment`] worker
-//! pool, attaches the same time-varying [`LinkProfile`] pass to every cell,
-//! and reduces the records to one post-FEC BER vs sustained aggregate
-//! bandwidth **frontier** per preset.
+//! and which FEC configuration should fly": it reports one record per cell
+//! of the cross product of DRAM presets, mapping schemes, interleaver
+//! depths and Reed–Solomon code rates, attaches the same time-varying
+//! [`LinkProfile`] pass to every cell, and reduces the records to one
+//! post-FEC BER vs sustained aggregate bandwidth **frontier** per preset.
+//!
+//! The cells are not simulated one by one.  A cell's DRAM result depends
+//! only on its (preset, mapping) pair and its link result only on its
+//! (depth, code rate) pair, so the deterministic [`Experiment`] worker pool
+//! runs each distinct DRAM simulation and each distinct link simulation
+//! once and joins them into the cell records: the committed 72-cell grid
+//! costs 8 DRAM runs and 9 link runs.
 //!
 //! Two design choices make the frontier comparable and reproducible:
 //!
@@ -294,8 +300,9 @@ impl Campaign {
         scenarios
     }
 
-    /// Runs every cell through the deterministic experiment worker pool and
-    /// reduces the records to per-preset frontiers.
+    /// Runs the cells through the deterministic experiment worker pool (one
+    /// simulation per distinct DRAM or link configuration, joined into one
+    /// record per cell) and reduces the records to per-preset frontiers.
     ///
     /// # Errors
     ///

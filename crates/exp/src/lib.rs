@@ -13,9 +13,10 @@
 //! * [`SweepGrid`] — a Cartesian product of axes (DRAM configurations ×
 //!   interleaver sizes × mappings × refresh settings) that expands into
 //!   scenarios with stable, unique IDs;
-//! * [`Experiment`] — runs scenarios across `std::thread` workers with
-//!   deterministic result ordering (the output is identical for any worker
-//!   count);
+//! * [`Experiment`] — runs each distinct DRAM and link simulation of a
+//!   batch of scenarios once across `std::thread` workers and joins them
+//!   into one record per scenario, in scenario order (the output is
+//!   identical for any worker count);
 //! * [`Record`] — the typed result of one scenario (per-phase utilization,
 //!   sustained bandwidth, row-hit rates, energy, optional link-level error
 //!   rates), serializable to JSON and CSV without external dependencies

@@ -129,11 +129,15 @@ pub struct Record {
     /// [`PartialEq`] (two runs differing only in thread count compare
     /// equal).
     pub threads: u32,
-    /// Wall-clock seconds spent simulating the DRAM phases (host-dependent;
-    /// **excluded** from [`PartialEq`]).
+    /// Wall-clock seconds spent in the DRAM step (host-dependent;
+    /// **excluded** from [`PartialEq`]).  Scenarios of one
+    /// [`Experiment`](crate::Experiment) that share a DRAM run (same device,
+    /// mapping, sizing, controller and tenant stage) carry that one run's
+    /// value.
     pub wall_time_s: f64,
     /// Simulation speed in simulated cycles per wall-clock second
-    /// (host-dependent; **excluded** from [`PartialEq`]).
+    /// (host-dependent; **excluded** from [`PartialEq`]; shared like
+    /// [`Record::wall_time_s`]).
     pub sim_cycles_per_second: f64,
     /// Error rates of the optional channel/FEC stage.
     pub link: Option<LinkRecord>,

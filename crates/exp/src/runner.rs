@@ -3,16 +3,27 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::record::Record;
+use crate::record::{LinkRecord, Record};
 use crate::scenario::Scenario;
 use crate::ExpError;
 
 /// Runs a batch of scenarios and collects their records.
 ///
-/// Scenarios are distributed over `std::thread` workers via an atomic work
-/// queue; each record is stored at its scenario's index, so the output order
-/// equals the input order **regardless of worker count** — a 1-worker and an
-/// N-worker run of the same experiment produce identical record vectors.
+/// The batch is first planned as a set of distinct simulations: one DRAM
+/// job per distinct (DRAM configuration, mapping, interleaver sizing,
+/// controller, tenant stage) tuple and one link job per distinct
+/// [`LinkStage`](crate::LinkStage).  Each job runs once, and the results are
+/// joined into one [`Record`] per scenario, so a campaign whose cells repeat
+/// a (preset, mapping) pair or a (depth, code rate) pair simulates each only
+/// once.  Every record carries its own scenario ID and thread count; records
+/// sharing a DRAM job carry that job's [`Record::wall_time_s`] and
+/// [`Record::sim_cycles_per_second`].
+///
+/// Jobs are distributed over `std::thread` workers via an atomic work queue
+/// in first-appearance order; each result is stored at its job's index and
+/// records are joined in scenario order, so the output **does not depend on
+/// the worker count** — a 1-worker and an N-worker run of the same
+/// experiment produce identical record vectors.
 ///
 /// # Examples
 ///
@@ -82,7 +93,8 @@ impl Experiment {
         &self.scenarios
     }
 
-    /// Runs every scenario and returns the records in scenario order.
+    /// Runs every distinct simulation of the batch once and returns one
+    /// record per scenario, in scenario order.
     ///
     /// # Examples
     ///
@@ -112,27 +124,62 @@ impl Experiment {
     /// scenario order (not completion order, so the reported error is also
     /// deterministic across worker counts).
     pub fn run(&self) -> Result<Vec<Record>, ExpError> {
-        let n = self.scenarios.len();
-        if n == 0 {
-            return Ok(Vec::new());
+        let plan = Plan::new(&self.scenarios);
+        let outcomes = self.pool(plan.jobs.len(), |index| match plan.jobs[index] {
+            Job::Dram(first) => Outcome::Dram(self.scenarios[first].run_dram().map(Box::new)),
+            Job::Link(first) => Outcome::Link(
+                self.scenarios[first]
+                    .link()
+                    .expect("link jobs are planned for scenarios with a link stage")
+                    .run(),
+            ),
+        });
+        let (mut dram, mut links) = (Vec::new(), Vec::new());
+        for outcome in outcomes {
+            match outcome {
+                Outcome::Dram(result) => dram.push(result),
+                Outcome::Link(result) => links.push(result),
+            }
         }
-        let mut slots: Vec<Option<Result<Record, ExpError>>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        if self.workers == 1 || n == 1 {
-            for (slot, scenario) in slots.iter_mut().zip(&self.scenarios) {
-                *slot = Some(run_one(scenario));
+        self.scenarios
+            .iter()
+            .zip(&plan.cells)
+            .map(|(scenario, &(dram_job, link_job))| {
+                dram[dram_job]
+                    .clone()
+                    .and_then(|record| {
+                        let link = link_job.map(|job| links[job].clone()).transpose()?;
+                        Ok(scenario.join(*record, link))
+                    })
+                    .map_err(|source| ExpError::Scenario {
+                        id: scenario.id(),
+                        detail: scenario.to_string(),
+                        source: Box::new(source),
+                    })
+            })
+            .collect()
+    }
+
+    /// Runs `job(0..jobs)` on the worker pool and returns the results in job
+    /// order.
+    fn pool<T: Send>(&self, jobs: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
+        slots.resize_with(jobs, || None);
+        if self.workers == 1 || jobs <= 1 {
+            for (index, slot) in slots.iter_mut().enumerate() {
+                *slot = Some(job(index));
             }
         } else {
             let cursor = AtomicUsize::new(0);
             let results = Mutex::new(&mut slots);
             std::thread::scope(|scope| {
-                for _ in 0..self.workers.min(n) {
+                for _ in 0..self.workers.min(jobs) {
                     scope.spawn(|| loop {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= n {
+                        if index >= jobs {
                             break;
                         }
-                        let outcome = run_one(&self.scenarios[index]);
+                        let outcome = job(index);
                         results.lock().expect("result mutex poisoned")[index] = Some(outcome);
                     });
                 }
@@ -140,19 +187,67 @@ impl Experiment {
         }
         slots
             .into_iter()
-            .map(|slot| slot.expect("every scenario index was executed"))
+            .map(|slot| slot.expect("every job index was executed"))
             .collect()
     }
 }
 
-/// Runs one scenario, wrapping failures with the scenario's ID and its full
-/// axis-value display (so a failing sweep cell is diagnosable from the log).
-fn run_one(scenario: &Scenario) -> Result<Record, ExpError> {
-    scenario.run().map_err(|source| ExpError::Scenario {
-        id: scenario.id(),
-        detail: scenario.to_string(),
-        source: Box::new(source),
-    })
+/// One distinct simulation of a batch, named by the index of the first
+/// scenario it appears in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Job {
+    /// The scenario's DRAM step.
+    Dram(usize),
+    /// The scenario's link stage.
+    Link(usize),
+}
+
+/// The result of one [`Job`] (the record is boxed to keep the variants of
+/// similar size).
+enum Outcome {
+    Dram(Result<Box<Record>, ExpError>),
+    Link(Result<LinkRecord, ExpError>),
+}
+
+/// The distinct simulations behind a batch of scenarios and how each
+/// scenario joins them.
+#[derive(Debug, Default)]
+struct Plan {
+    /// Jobs in first-appearance order.
+    jobs: Vec<Job>,
+    /// Per scenario: its DRAM job's index among the DRAM jobs, and its link
+    /// job's index among the link jobs.
+    cells: Vec<(usize, Option<usize>)>,
+}
+
+impl Plan {
+    fn new(scenarios: &[Scenario]) -> Self {
+        let mut plan = Plan::default();
+        let mut dram_firsts: Vec<usize> = Vec::new();
+        let mut link_firsts: Vec<usize> = Vec::new();
+        for (index, scenario) in scenarios.iter().enumerate() {
+            let dram = dram_firsts
+                .iter()
+                .position(|&first| scenarios[first].same_dram_step(scenario))
+                .unwrap_or_else(|| {
+                    plan.jobs.push(Job::Dram(index));
+                    dram_firsts.push(index);
+                    dram_firsts.len() - 1
+                });
+            let link = scenario.link().map(|stage| {
+                link_firsts
+                    .iter()
+                    .position(|&first| scenarios[first].link() == Some(stage))
+                    .unwrap_or_else(|| {
+                        plan.jobs.push(Job::Link(index));
+                        link_firsts.push(index);
+                        link_firsts.len() - 1
+                    })
+            });
+            plan.cells.push((dram, link));
+        }
+        plan
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +316,81 @@ mod tests {
                 other => panic!("unexpected error {other:?}"),
             }
         }
+    }
+
+    /// (DRAM jobs, link jobs) of a batch's plan.
+    fn job_counts(scenarios: &[Scenario]) -> (usize, usize) {
+        let jobs = Plan::new(scenarios).jobs;
+        let dram = jobs
+            .iter()
+            .filter(|job| matches!(job, Job::Dram(_)))
+            .count();
+        (dram, jobs.len() - dram)
+    }
+
+    #[test]
+    fn campaign_plan_runs_each_preset_mapping_and_fec_cell_once() {
+        use crate::campaign::CampaignConfig;
+        use tbi_satcom::{LinkProfile, Weather};
+        // The committed campaign grid: 4 presets x 2 mappings x 3 depths x
+        // 3 code rates.
+        let mut config = CampaignConfig::new(LinkProfile::leo_pass(45.0, Weather::Clear));
+        for (standard, rate) in [
+            (DramStandard::Ddr4, 3200),
+            (DramStandard::Hbm2, 2400),
+            (DramStandard::Gddr6, 16000),
+            (DramStandard::Ddr5Stacked, 6400),
+        ] {
+            config = config.preset(standard, rate).unwrap();
+        }
+        let scenarios = config.build().scenarios();
+        assert_eq!(scenarios.len(), 72);
+        assert_eq!(job_counts(&scenarios), (8, 9));
+        // First-appearance order: the first (preset, mapping) pair brings
+        // the DRAM job and all nine link jobs, every later pair one DRAM job.
+        let plan = Plan::new(&scenarios);
+        assert_eq!(plan.jobs[0], Job::Dram(0));
+        assert_eq!(plan.jobs[1..10], (0..9).map(Job::Link).collect::<Vec<_>>());
+        assert_eq!(
+            plan.jobs[10..],
+            (1..8).map(|pair| Job::Dram(9 * pair)).collect::<Vec<_>>()
+        );
+        for (index, &cell) in plan.cells.iter().enumerate() {
+            assert_eq!(cell, (index / 9, Some(index % 9)));
+        }
+    }
+
+    #[test]
+    fn table1_and_tenant_plans_have_no_repeats() {
+        let table1 = SweepGrid::new()
+            .all_presets()
+            .unwrap()
+            .size(1 << 17)
+            .mappings(MappingKind::TABLE1)
+            .scenarios();
+        assert_eq!(table1.len(), 20);
+        assert_eq!(job_counts(&table1), (20, 0));
+
+        let mut tenants = Vec::new();
+        for (standard, rate) in [(DramStandard::Ddr4, 3200), (DramStandard::Lpddr4, 4266)] {
+            for channels in [1, 2] {
+                let dram = tbi_dram::DramConfig::preset(standard, rate)
+                    .unwrap()
+                    .with_topology(tbi_dram::ChannelTopology::new(channels, 1));
+                for streams in [8u32, 64] {
+                    let spec = InterleaverSpec::from_burst_count((1 << 16) / u64::from(streams));
+                    for policy in tbi_sched::SchedPolicyKind::ALL {
+                        tenants.push(
+                            Scenario::custom(dram.clone(), MappingKind::Optimized, spec)
+                                .with_tenants(crate::TenantStage::new(streams, policy))
+                                .with_threads(2),
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(tenants.len(), 24);
+        assert_eq!(job_counts(&tenants), (24, 0));
     }
 
     #[test]

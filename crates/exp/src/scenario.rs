@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tbi_dram::{
-    ControllerConfig, DramConfig, DramStandard, EnergyParams, EnergyReport, RefreshMode,
+    ControllerConfig, DramConfig, DramStandard, EnergyParams, EnergyReport, RefreshMode, Stats,
     TimingEngine,
 };
 use tbi_interleaver::mapping::DramMapping;
@@ -402,9 +402,10 @@ impl Scenario {
         Ok(self.mapping.build(&self.dram, self.spec.dimension())?)
     }
 
-    /// Runs the scenario and collects a structured [`Record`].
+    /// Runs the scenario and collects a structured [`Record`]: the DRAM
+    /// step, then the optional link stage, joined into one record.
     ///
-    /// The DRAM simulation is timed with a monotonic clock; the resulting
+    /// The DRAM step is timed with a monotonic clock; the resulting
     /// [`Record::wall_time_s`] and [`Record::sim_cycles_per_second`] record
     /// how fast the configured [`TimingEngine`]
     /// chewed through the simulated cycles (they are excluded from record
@@ -415,32 +416,63 @@ impl Scenario {
     /// Returns [`ExpError`] if the mapping cannot be built, the interleaver
     /// does not fit the device, or the optional link stage fails.
     pub fn run(&self) -> Result<Record, ExpError> {
-        if self.tenants.is_some() {
+        let dram = self.run_dram()?;
+        let link = self.link.as_ref().map(LinkStage::run).transpose()?;
+        Ok(self.join(dram, link))
+    }
+
+    /// Whether `other` runs the identical DRAM step: same device, mapping,
+    /// interleaver sizing, controller and tenant stage.  The ID, thread
+    /// count and link stage do not enter the DRAM step's result.
+    pub(crate) fn same_dram_step(&self, other: &Scenario) -> bool {
+        self.dram == other.dram
+            && self.mapping == other.mapping
+            && self.spec == other.spec
+            && self.controller == other.controller
+            && self.tenants == other.tenants
+    }
+
+    /// The DRAM step of [`Scenario::run`]: the scenario's record without its
+    /// link stage, timed end to end.
+    pub(crate) fn run_dram(&self) -> Result<Record, ExpError> {
+        let started = std::time::Instant::now();
+        let mut record = if self.tenants.is_some() {
             self.run_tenant_mode()
         } else if self.dram.topology.is_single() {
             self.run_single_channel()
         } else {
             self.run_multi_channel()
-        }
-    }
-
-    /// The legacy single-channel, single-rank path — kept verbatim so the
-    /// `1 × 1` topology reproduces the Table I records bit-identically.
-    fn run_single_channel(&self) -> Result<Record, ExpError> {
-        let started = std::time::Instant::now();
-        let report = self.evaluator().evaluate(self.mapping)?;
-        let wall_time_s = started.elapsed().as_secs_f64();
-        let mut totals = report.write.stats.clone();
-        totals.merge(&report.read.stats);
-        let simulated_cycles = totals.elapsed_cycles;
-        let sim_cycles_per_second = if wall_time_s > 0.0 {
-            simulated_cycles as f64 / wall_time_s
+        }?;
+        record.wall_time_s = started.elapsed().as_secs_f64();
+        record.sim_cycles_per_second = if record.wall_time_s > 0.0 {
+            record.simulated_cycles as f64 / record.wall_time_s
         } else {
             0.0
         };
+        Ok(record)
+    }
+
+    /// Joins a DRAM step record (possibly produced by another scenario with
+    /// the [same DRAM step](Self::same_dram_step)) and this scenario's link
+    /// result into this scenario's record: the ID, thread count and link
+    /// fields are this scenario's own, everything else is the DRAM step's.
+    pub(crate) fn join(&self, dram: Record, link: Option<LinkRecord>) -> Record {
+        Record {
+            scenario_id: self.id(),
+            threads: self.threads as u32,
+            link,
+            ..dram
+        }
+    }
+
+    /// The single-channel, single-rank path, which reproduces the Table I
+    /// records bit-identically.
+    fn run_single_channel(&self) -> Result<Record, ExpError> {
+        let report = self.evaluator().evaluate(self.mapping)?;
+        let mut totals = report.write.stats.clone();
+        totals.merge(&report.read.stats);
         let energy =
             EnergyReport::from_stats(&totals, &self.dram, &EnergyParams::for_config(&self.dram));
-        let link = self.link.as_ref().map(LinkStage::run).transpose()?;
         Ok(Record {
             scenario_id: self.id(),
             dram_label: self.dram.label(),
@@ -461,11 +493,11 @@ impl Scenario {
             activates: totals.activates,
             energy_total_mj: energy.total_mj,
             energy_nj_per_byte: energy.nj_per_byte,
-            simulated_cycles,
+            simulated_cycles: totals.elapsed_cycles,
             threads: self.threads as u32,
-            wall_time_s,
-            sim_cycles_per_second,
-            link,
+            wall_time_s: 0.0,
+            sim_cycles_per_second: 0.0,
+            link: None,
             tenants: None,
         })
     }
@@ -476,42 +508,20 @@ impl Scenario {
     /// aggregated (see
     /// [`ChannelRouter`](tbi_dram::channel::ChannelRouter)).
     fn run_multi_channel(&self) -> Result<Record, ExpError> {
-        let started = std::time::Instant::now();
         let report = self.evaluator().evaluate_channels(self.mapping)?;
-        let wall_time_s = started.elapsed().as_secs_f64();
-        let params = EnergyParams::for_config(&self.dram);
-        // Energy and counters per channel (each channel's device pays its
-        // own background power over its own elapsed window), summed into
-        // subsystem totals.
-        let mut energy_total_mj = 0.0;
-        let mut total_bytes = 0.0;
-        let mut activates = 0u64;
-        let mut simulated_cycles = 0u64;
-        let channels = self.dram.topology.channels as usize;
-        for channel in 0..channels {
-            let mut totals = report.write.stats.per_channel()[channel].clone();
-            totals.merge(&report.read.stats.per_channel()[channel]);
-            let energy = EnergyReport::from_stats(&totals, &self.dram, &params);
-            energy_total_mj += energy.total_mj;
-            total_bytes += (totals.read_bursts + totals.write_bursts) as f64
-                * f64::from(self.dram.geometry.burst_bytes());
-            activates += totals.activates;
-            simulated_cycles += totals.elapsed_cycles;
-        }
-        let energy_nj_per_byte = if total_bytes > 0.0 {
-            energy_total_mj * 1e6 / total_bytes
-        } else {
-            0.0
-        };
-        let sim_cycles_per_second = if wall_time_s > 0.0 {
-            simulated_cycles as f64 / wall_time_s
-        } else {
-            0.0
-        };
+        let per_channel = report
+            .write
+            .stats
+            .per_channel()
+            .iter()
+            .zip(report.read.stats.per_channel())
+            .map(|(write, read)| {
+                let mut totals = write.clone();
+                totals.merge(read);
+                totals
+            });
+        let totals = self.channel_totals(per_channel);
         let aggregate_gbps = report.sustained_aggregate_gbps();
-        let link = self.link.as_ref().map(LinkStage::run).transpose()?;
-        let write_hit = report.write.stats.aggregate().row_hit_rate();
-        let read_hit = report.read.stats.aggregate().row_hit_rate();
         Ok(Record {
             scenario_id: self.id(),
             dram_label: self.dram.label(),
@@ -527,18 +537,39 @@ impl Scenario {
             sustained_gbps: aggregate_gbps / f64::from(self.dram.topology.channels),
             aggregate_gbps,
             channel_utilization_spread: report.utilization_spread(),
-            write_row_hit_rate: write_hit,
-            read_row_hit_rate: read_hit,
-            activates,
-            energy_total_mj,
-            energy_nj_per_byte,
-            simulated_cycles,
+            write_row_hit_rate: report.write.stats.aggregate().row_hit_rate(),
+            read_row_hit_rate: report.read.stats.aggregate().row_hit_rate(),
+            activates: totals.activates,
+            energy_total_mj: totals.energy_total_mj,
+            energy_nj_per_byte: totals.energy_nj_per_byte,
+            simulated_cycles: totals.simulated_cycles,
             threads: self.threads as u32,
-            wall_time_s,
-            sim_cycles_per_second,
-            link,
+            wall_time_s: 0.0,
+            sim_cycles_per_second: 0.0,
+            link: None,
             tenants: None,
         })
+    }
+
+    /// Energy and work counters summed over per-channel statistics windows
+    /// (each channel's device pays its own background power over its own
+    /// elapsed window).
+    fn channel_totals(&self, per_channel: impl IntoIterator<Item = Stats>) -> ChannelTotals {
+        let params = EnergyParams::for_config(&self.dram);
+        let mut totals = ChannelTotals::default();
+        let mut total_bytes = 0.0;
+        for stats in per_channel {
+            totals.energy_total_mj +=
+                EnergyReport::from_stats(&stats, &self.dram, &params).total_mj;
+            total_bytes += (stats.read_bursts + stats.write_bursts) as f64
+                * f64::from(self.dram.geometry.burst_bytes());
+            totals.activates += stats.activates;
+            totals.simulated_cycles += stats.elapsed_cycles;
+        }
+        if total_bytes > 0.0 {
+            totals.energy_nj_per_byte = totals.energy_total_mj * 1e6 / total_bytes;
+        }
+        totals
     }
 
     /// The multi-tenant path: `streams` concurrent copies of the
@@ -552,7 +583,6 @@ impl Scenario {
         let stage = self
             .tenants
             .expect("run_tenant_mode requires a tenant stage");
-        let started = std::time::Instant::now();
         let streams: Vec<StreamSpec> = (0..stage.streams)
             .map(|index| {
                 StreamSpec::new(format!("tenant-{index:04}"), *self.spec())
@@ -574,36 +604,12 @@ impl Scenario {
                 }
             })?;
         let report = scheduler.run();
-        let wall_time_s = started.elapsed().as_secs_f64();
-        let params = EnergyParams::for_config(&self.dram);
-        let mut energy_total_mj = 0.0;
-        let mut total_bytes = 0.0;
-        let mut activates = 0u64;
-        let mut simulated_cycles = 0u64;
-        for stats in report.stats.per_channel() {
-            let energy = EnergyReport::from_stats(stats, &self.dram, &params);
-            energy_total_mj += energy.total_mj;
-            total_bytes += (stats.read_bursts + stats.write_bursts) as f64
-                * f64::from(self.dram.geometry.burst_bytes());
-            activates += stats.activates;
-            simulated_cycles += stats.elapsed_cycles;
-        }
-        let energy_nj_per_byte = if total_bytes > 0.0 {
-            energy_total_mj * 1e6 / total_bytes
-        } else {
-            0.0
-        };
-        let sim_cycles_per_second = if wall_time_s > 0.0 {
-            simulated_cycles as f64 / wall_time_s
-        } else {
-            0.0
-        };
+        let totals = self.channel_totals(report.stats.per_channel().iter().cloned());
         let utilization = report.stats.utilization();
         let aggregate_gbps = report
             .stats
             .aggregate_bandwidth_gbps(self.dram.clock_mhz(), self.dram.geometry.bus_width_bits);
         let row_hit_rate = report.stats.aggregate().row_hit_rate();
-        let link = self.link.as_ref().map(LinkStage::run).transpose()?;
         let per_tenant = report
             .tenants
             .iter()
@@ -644,17 +650,26 @@ impl Scenario {
             channel_utilization_spread: report.stats.utilization_spread(),
             write_row_hit_rate: row_hit_rate,
             read_row_hit_rate: row_hit_rate,
-            activates,
-            energy_total_mj,
-            energy_nj_per_byte,
-            simulated_cycles,
+            activates: totals.activates,
+            energy_total_mj: totals.energy_total_mj,
+            energy_nj_per_byte: totals.energy_nj_per_byte,
+            simulated_cycles: totals.simulated_cycles,
             threads: self.threads as u32,
-            wall_time_s,
-            sim_cycles_per_second,
-            link,
+            wall_time_s: 0.0,
+            sim_cycles_per_second: 0.0,
+            link: None,
             tenants: Some(tenants),
         })
     }
+}
+
+/// Energy and work counters of a multi-channel run, summed over channels.
+#[derive(Debug, Default)]
+struct ChannelTotals {
+    energy_total_mj: f64,
+    energy_nj_per_byte: f64,
+    activates: u64,
+    simulated_cycles: u64,
 }
 
 /// The full grid-axis value set of the scenario, one line: DRAM label,
