@@ -12,8 +12,8 @@
 //! Two workloads cover both threaded paths:
 //!
 //! - `table1` — the Table I DDR4-3200 row-major/optimized pair scaled out to
-//!   1/2/4 channels, driven through
-//!   `ChannelRouter::run_phase_sources_threaded`.  This is the headline
+//!   1/2/4 channels, driven through `ChannelRouter::run_phase_threaded`
+//!   (one scoped worker per chunk of channels).  This is the headline
 //!   speedup row family: at 4 channels, 4 workers drive 4 independent
 //!   controllers concurrently.
 //! - `tenants` — the multi-tenant scheduler at 4 channels × 8/64 streams,

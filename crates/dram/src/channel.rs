@@ -1,44 +1,41 @@
-//! Multi-channel scale-out: one [`Controller`] per channel under a shared
-//! clock.
+//! Multi-channel scale-out: one [`Controller`] per channel.
 //!
 //! DRAM channels are fully independent — each has its own command/address
 //! bus, data bus and controller — so a multi-channel subsystem multiplies
 //! peak bandwidth by the channel count.  The [`ChannelRouter`] owns one
 //! [`Controller`] per channel of the configuration's
-//! [`ChannelTopology`](crate::ChannelTopology) and drives them under a
-//! shared clock: each drive step advances the channel whose local clock is
-//! furthest behind, so no channel runs ahead of the others by more than one
-//! back-pressure window.
+//! [`ChannelTopology`](crate::ChannelTopology).
 //!
-//! Because the channels do not interact, every channel's statistics are
-//! bit-identical to running that channel's request stream through a
-//! stand-alone [`MemorySystem`](crate::MemorySystem) — a property the
-//! multi-channel tests pin.  Aggregation happens in [`CombinedStats`]: byte
-//! counts and command counts sum across channels, while the elapsed time of
-//! the subsystem is the **maximum** over the per-channel elapsed times (the
-//! slowest channel finishes last).
+//! Because the channels do not interact, a phase is driven channel by
+//! channel: every channel runs its own request stream through the one
+//! saturating drive loop (fill the free queue slots, step until a slot
+//! frees up, refill, …, drain) that
+//! [`MemorySystem::run_trace`](crate::MemorySystem::run_trace) also uses.
+//! Interleaving the channels under a shared laggard-first clock would only
+//! reorder *when* each channel's operations run, never *which* operations
+//! run, so the per-channel statistics do not depend on the driving order —
+//! `tests/parallel_differential.rs` pins this against an independent
+//! laggard-interleaved reference loop.  Aggregation happens in
+//! [`CombinedStats`]: byte counts and command counts sum across channels,
+//! while the elapsed time of the subsystem is the **maximum** over the
+//! per-channel elapsed times (the slowest channel finishes last).
 //!
 //! With a `1 × 1` topology the router degenerates to exactly one controller
-//! and reproduces the legacy single-channel results bit-identically on both
-//! timing engines.
+//! and reproduces the single-channel results bit-identically on both timing
+//! engines.
 //!
 //! # Threaded drive mode
 //!
-//! [`ChannelRouter::run_phase_threaded`] executes the same phase with each
-//! channel's controller on its own worker thread.  This is sound because the
-//! sequential loop's per-channel projection is already independent: the
-//! laggard-first clock only decides *which* channel bursts next, never what
-//! a burst does, and a channel's queue is refilled exactly when its own
-//! stepping frees slots.  Each worker therefore replays the projection
-//! `fill → (burst-until-accepting → fill)* → drain` verbatim, and the
+//! [`ChannelRouter::run_phase_threaded`] runs the same per-channel drive
+//! with the channels split into contiguous chunks, one
+//! [`std::thread::scope`] worker per chunk.  Channels share no state, so the
 //! per-channel [`Stats`] — reassembled in channel order at the join — are
-//! **bit-identical to the sequential path for any thread count** (pinned by
-//! `tests/parallel_differential.rs`).  See `docs/ARCHITECTURE.md` for the
-//! barrier protocol and its determinism invariants.
+//! **bit-identical to [`ChannelRouter::run_phase`] for any thread count**.
+//! See `docs/ARCHITECTURE.md` for the determinism invariants.
 
 use crate::controller::{Controller, ControllerConfig};
 use crate::error::ConfigError;
-use crate::request::{BufferedRequests, Request, RequestSource};
+use crate::request::Request;
 use crate::standards::DramConfig;
 use crate::stats::Stats;
 
@@ -179,7 +176,7 @@ impl CombinedStats {
     }
 }
 
-/// One [`Controller`] per channel, stepped under a shared clock.
+/// One [`Controller`] per channel.
 ///
 /// # Examples
 ///
@@ -255,11 +252,16 @@ impl ChannelRouter {
     }
 
     /// The channel whose local clock is furthest behind among channels with
-    /// pending requests — the channel [`ChannelRouter::step`] would advance —
+    /// pending requests — the one a laggard-first drive loop advances next —
     /// or `None` when no channel has pending work.
     #[must_use]
     pub fn laggard_channel(&self) -> Option<u32> {
-        self.laggard().map(|channel| channel as u32)
+        self.controllers
+            .iter()
+            .zip(0u32..)
+            .filter(|(c, _)| c.pending_requests() > 0)
+            .min_by_key(|(c, _)| c.now())
+            .map(|(_, channel)| channel)
     }
 
     /// The DRAM configuration shared by every channel.
@@ -278,38 +280,15 @@ impl ChannelRouter {
         self.controllers[channel as usize].enqueue(request)
     }
 
-    /// Advances the shared clock by one step: the channel whose local clock
-    /// is furthest behind (among channels with pending work) takes one step
-    /// of its configured timing engine.  Returns `true` while any channel
-    /// has work left.
-    pub fn step(&mut self) -> bool {
-        if let Some(channel) = self.laggard() {
-            self.controllers[channel].step();
-        }
-        self.controllers.iter().any(|c| c.pending_requests() > 0)
-    }
-
-    /// The channel with the smallest local clock among those with pending
-    /// requests.
-    fn laggard(&self) -> Option<usize> {
-        self.controllers
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.pending_requests() > 0)
-            .min_by_key(|(_, c)| c.now())
-            .map(|(i, _)| i)
-    }
-
-    /// Feeds one per-channel request stream through each channel under the
-    /// shared clock, keeping every channel's queues saturated
-    /// (back-pressure per channel), then drains all channels and returns the
-    /// per-channel statistics of the window.
+    /// Feeds one request stream through each channel, keeping every
+    /// channel's queue saturated (back-pressure per channel), then drains
+    /// all channels and returns the per-channel statistics of the window.
     ///
     /// `traces` must hold exactly one iterator per channel, in channel
-    /// order.  Because channels do not interact, each channel's statistics
-    /// equal a stand-alone [`MemorySystem`](crate::MemorySystem) run of the
-    /// same stream; the shared clock only bounds how far channels drift
-    /// apart during the computation.
+    /// order.  The channels are driven one after another in channel order;
+    /// because channels do not interact, each channel's statistics equal a
+    /// stand-alone [`MemorySystem`](crate::MemorySystem) run of the same
+    /// stream.
     ///
     /// # Panics
     ///
@@ -323,61 +302,24 @@ impl ChannelRouter {
             self.controllers.len(),
             "one trace per channel required"
         );
-        let mut traces: Vec<std::iter::Fuse<I>> = traces.into_iter().map(Iterator::fuse).collect();
-        loop {
-            // Fill each channel's free queue slots from its own stream.
-            for (controller, trace) in self.controllers.iter_mut().zip(&mut traces) {
-                let mut free = controller.free_slots();
-                while free > 0 {
-                    match trace.next() {
-                        Some(request) => {
-                            let accepted = controller.enqueue(request);
-                            debug_assert!(accepted, "enqueue within free_slots cannot fail");
-                            free -= 1;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            // Advance the laggard channel until it can accept again (its
-            // stream cannot progress before then, and the other channels
-            // advance on their own turns).
-            match self.laggard() {
-                None => break,
-                Some(channel) => {
-                    let controller = &mut self.controllers[channel];
-                    controller.step();
-                    while !controller.can_accept() && controller.pending_requests() > 0 {
-                        controller.step();
-                    }
-                }
-            }
-        }
-        for controller in &mut self.controllers {
-            controller.drain();
+        for (controller, trace) in self.controllers.iter_mut().zip(traces) {
+            drive_channel(controller, trace);
         }
         self.stats()
     }
 
-    /// Runs the same phase as [`ChannelRouter::run_phase`] with each
-    /// channel's controller on its own worker thread, producing
+    /// Runs the same phase as [`ChannelRouter::run_phase`] with the
+    /// channels spread over `threads` worker threads, producing
     /// **bit-identical** [`CombinedStats`] (and, when completion logging is
     /// enabled, bit-identical per-channel completion logs) for any
     /// `threads` value.
     ///
-    /// Channels never read each other's state, so the sequential laggard
-    /// clock only interleaves — it never alters — each channel's operation
-    /// sequence.  Every worker replays that per-channel projection
-    /// independently: fill the queue from the channel's own stream, burst
-    /// until the queue can accept again, refill, and finally drain.  The
-    /// per-channel statistics are reassembled in channel order at the join,
-    /// so the result does not depend on thread count, channel-to-worker
-    /// assignment, or completion order of the workers.
-    ///
-    /// `threads` is clamped to `1..=channels`; with a single thread the
-    /// channels are driven inline on the calling thread (still using the
-    /// per-channel projection, which is equivalent to the interleaved
-    /// sequential loop).
+    /// Every worker drives its channels with the same per-channel loop as
+    /// the sequential path, and the per-channel statistics are reassembled
+    /// in channel order at the join, so the result does not depend on
+    /// thread count, channel-to-worker assignment, or completion order of
+    /// the workers.  `threads` is clamped to `1..=channels`; with a single
+    /// thread the channels are driven inline on the calling thread.
     ///
     /// # Panics
     ///
@@ -391,53 +333,8 @@ impl ChannelRouter {
             self.controllers.len(),
             "one trace per channel required"
         );
-        let threads = threads.clamp(1, self.controllers.len().max(1));
-        if threads <= 1 {
-            for (controller, trace) in self.controllers.iter_mut().zip(traces) {
-                drive_channel(controller, trace);
-            }
-            return self.stats();
-        }
-        // Split the channels into `threads` contiguous chunks; the chunking
-        // is irrelevant to the result (each channel's work is independent),
-        // it only balances the load.
-        let chunk = self.controllers.len().div_ceil(threads);
-        let mut trace_chunks: Vec<Vec<I>> = Vec::new();
-        let mut traces = traces;
-        while !traces.is_empty() {
-            let rest = traces.split_off(chunk.min(traces.len()));
-            trace_chunks.push(std::mem::replace(&mut traces, rest));
-        }
-        std::thread::scope(|scope| {
-            for (controllers, chunk_traces) in self.controllers.chunks_mut(chunk).zip(trace_chunks)
-            {
-                scope.spawn(move || {
-                    for (controller, trace) in controllers.iter_mut().zip(chunk_traces) {
-                        drive_channel(controller, trace);
-                    }
-                });
-            }
-        });
+        on_workers(&mut self.controllers, traces, threads, drive_channel);
         self.stats()
-    }
-
-    /// The batched counterpart of [`ChannelRouter::run_phase_threaded`]:
-    /// one [`RequestSource`] per channel, each drained through a
-    /// [`BufferedRequests`] adapter on its worker thread.  Bit-identical to
-    /// [`ChannelRouter::run_phase_sources`] for any `threads` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len()` differs from the channel count.
-    pub fn run_phase_sources_threaded<S: RequestSource + Send>(
-        &mut self,
-        sources: Vec<S>,
-        threads: usize,
-    ) -> CombinedStats {
-        self.run_phase_threaded(
-            sources.into_iter().map(BufferedRequests::new).collect(),
-            threads,
-        )
     }
 
     /// Drains every channel to completion, optionally in parallel.
@@ -449,40 +346,13 @@ impl ChannelRouter {
     /// inherently sequential — the `tbi_sched` stream scheduler's policy
     /// loop — use this to parallelize their final drain segment.
     pub fn drain_all(&mut self, threads: usize) {
-        let threads = threads.clamp(1, self.controllers.len().max(1));
-        if threads <= 1 {
-            for controller in &mut self.controllers {
-                controller.drain();
-            }
-            return;
-        }
-        let chunk = self.controllers.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for controllers in self.controllers.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for controller in controllers {
-                        controller.drain();
-                    }
-                });
-            }
-        });
-    }
-
-    /// Feeds one batched [`RequestSource`] per channel through the shared
-    /// clock — the slice-at-a-time counterpart of
-    /// [`ChannelRouter::run_phase`].
-    ///
-    /// Each source is drained through a [`BufferedRequests`] adapter, so the
-    /// per-channel request sequences (and therefore the statistics) are
-    /// bit-identical to `run_phase` over the equivalent scalar iterators
-    /// while the mapping work runs in
-    /// [`BufferedRequests::DEFAULT_CHUNK`]-sized slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources.len()` differs from the channel count.
-    pub fn run_phase_sources<S: RequestSource>(&mut self, sources: Vec<S>) -> CombinedStats {
-        self.run_phase(sources.into_iter().map(BufferedRequests::new).collect())
+        let channels = self.controllers.len();
+        on_workers(
+            &mut self.controllers,
+            vec![(); channels],
+            threads,
+            |c, ()| c.drain(),
+        );
     }
 
     /// Snapshot of every channel's current statistics window.
@@ -501,22 +371,18 @@ impl ChannelRouter {
     }
 }
 
-/// Drives one channel to completion: the per-channel projection of the
-/// sequential [`ChannelRouter::run_phase`] loop.
+/// Drives one channel to completion: fills the free queue slots from
+/// `trace`, steps until a slot frees up, refills, and so on until the trace
+/// is exhausted and the queue empty, then drains.
 ///
-/// Equivalence argument (pinned by `tests/parallel_differential.rs`): in the
-/// sequential loop a channel is refilled at the top of every outer
-/// iteration, but a refill only admits requests when the channel's own
-/// stepping freed queue slots — for every other channel the pass is a no-op
-/// (its queue is still full, or its trace is exhausted).  Projected onto one
-/// channel the sequential schedule is therefore exactly
-/// `fill, (burst-until-accepting, fill)*, drain`, which is what this loop
-/// executes.  The loop exits when a fill leaves the channel with no pending
-/// work, which in the sequential loop is exactly when the channel drops out
-/// of the laggard candidate set for good.
-fn drive_channel<I: Iterator<Item = Request>>(controller: &mut Controller, trace: I) {
+/// This is the crate's one saturating drive loop.  While the queue is full
+/// no request can arrive, so stepping until a slot frees up is
+/// indistinguishable from refilling after every step, and it skips the
+/// refill bookkeeping.
+pub(crate) fn drive_channel<I: Iterator<Item = Request>>(controller: &mut Controller, trace: I) {
     let mut trace = trace.fuse();
     loop {
+        // Fill exactly the free queue slots (no failed-enqueue probing).
         let mut free = controller.free_slots();
         while free > 0 {
             match trace.next() {
@@ -537,6 +403,39 @@ fn drive_channel<I: Iterator<Item = Request>>(controller: &mut Controller, trace
         }
     }
     controller.drain();
+}
+
+/// Applies `work` to every controller paired with its item, on up to
+/// `threads` scoped workers, each owning a contiguous chunk of channels.
+/// The chunking only balances load: channels share no state, so the result
+/// is the same as applying `work` in channel order on the calling thread,
+/// which is what happens when `threads` is 1.
+fn on_workers<T: Send>(
+    controllers: &mut [Controller],
+    items: Vec<T>,
+    threads: usize,
+    work: impl Fn(&mut Controller, T) + Sync,
+) {
+    let threads = threads.clamp(1, controllers.len().max(1));
+    if threads == 1 {
+        for (controller, item) in controllers.iter_mut().zip(items) {
+            work(controller, item);
+        }
+        return;
+    }
+    let chunk = controllers.len().div_ceil(threads);
+    let mut items = items.into_iter();
+    let work = &work;
+    std::thread::scope(|scope| {
+        for controllers in controllers.chunks_mut(chunk) {
+            let chunk_items: Vec<T> = items.by_ref().take(controllers.len()).collect();
+            scope.spawn(move || {
+                for (controller, item) in controllers.iter_mut().zip(chunk_items) {
+                    work(controller, item);
+                }
+            });
+        }
+    });
 }
 
 #[cfg(test)]
@@ -597,21 +496,6 @@ mod tests {
             "aggregate bandwidth should double: {single_bw} vs {dual_bw}"
         );
         assert_eq!(dual_stats.utilization_spread(), 0.0);
-    }
-
-    #[test]
-    fn run_phase_sources_matches_run_phase_bit_exactly() {
-        use crate::request::IteratorSource;
-        let cfg = config(2, 1);
-        let n = 10_000u64;
-        let mut scalar = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-        let scalar_stats = scalar.run_phase(vec![sequential(&cfg, n), sequential(&cfg, n / 2)]);
-        let mut batched = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-        let batched_stats = batched.run_phase_sources(vec![
-            IteratorSource(sequential(&cfg, n)),
-            IteratorSource(sequential(&cfg, n / 2)),
-        ]);
-        assert_eq!(scalar_stats, batched_stats);
     }
 
     #[test]
@@ -853,59 +737,29 @@ mod tests {
         assert_eq!(logged.controller_mut(0).drain_completions().count(), 0);
     }
 
-    /// Truncates an inner source after `limit` requests and then reports
-    /// exhaustion (`fill` returning 0) even though the inner source could
-    /// continue — the mid-phase cut-off of the exhaustion-semantics tests.
-    struct TruncatedSource<S> {
-        inner: S,
-        limit: usize,
-    }
-
-    impl<S: RequestSource> RequestSource for TruncatedSource<S> {
-        fn fill(&mut self, out: &mut Vec<Request>, max: usize) -> usize {
-            if self.limit == 0 {
-                return 0;
-            }
-            let before = out.len();
-            let take = self.limit.min(max);
-            self.inner.fill(out, take);
-            out.truncate(before + self.limit.min(out.len() - before));
-            let appended = out.len() - before;
-            self.limit -= appended;
-            appended
-        }
-    }
-
     #[test]
     fn mid_phase_source_exhaustion_terminates_and_matches_iterator_path() {
-        use crate::request::IteratorSource;
-        // One channel's source dries up mid-phase (fill returns 0 after 1000
-        // requests while the sibling channel still has work): the run must
-        // terminate cleanly and stay bit-identical to scalar iterators
-        // truncated at the same point.
+        // One channel's stream dries up mid-phase (after 1000 requests
+        // while the sibling channel still has work): the run must terminate
+        // cleanly, match stand-alone runs of the same streams, and the
+        // threaded drive must agree.
         let cfg = config(2, 1);
         let n = 6_000u64;
         let cut = 1_000usize;
-        let mut scalar = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-        let scalar_stats = scalar.run_phase(vec![
-            Box::new(sequential(&cfg, n)) as Box<dyn Iterator<Item = Request>>,
-            Box::new(sequential(&cfg, n).take(cut)),
-        ]);
-        let mut batched = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
-        let batched_stats = batched.run_phase_sources(vec![
-            TruncatedSource {
-                inner: IteratorSource(sequential(&cfg, n)),
-                limit: usize::MAX,
-            },
-            TruncatedSource {
-                inner: IteratorSource(sequential(&cfg, n)),
-                limit: cut,
-            },
-        ]);
-        assert_eq!(scalar_stats, batched_stats);
-        assert_eq!(
-            batched_stats.per_channel()[1].completed_requests,
-            cut as u64
-        );
+        let traces = || -> Vec<Box<dyn Iterator<Item = Request> + Send + '_>> {
+            vec![
+                Box::new(sequential(&cfg, n)),
+                Box::new(sequential(&cfg, n).take(cut)),
+            ]
+        };
+        let mut router = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
+        let stats = router.run_phase(traces());
+        for (channel, trace) in traces().into_iter().enumerate() {
+            let mut system = MemorySystem::new(cfg.clone()).unwrap();
+            assert_eq!(stats.per_channel()[channel], system.run_trace(trace));
+        }
+        assert_eq!(stats.per_channel()[1].completed_requests, cut as u64);
+        let mut threaded = ChannelRouter::new(cfg.clone(), ControllerConfig::default()).unwrap();
+        assert_eq!(threaded.run_phase_threaded(traces(), 2), stats);
     }
 }

@@ -105,7 +105,7 @@ pub use geometry::{ChannelTopology, DeviceGeometry};
 pub use permutation::{
     AddressField, BitPermutation, FoldOp, FoldStep, PermutationMapping, XorFold,
 };
-pub use request::{BufferedRequests, IteratorSource, Request, RequestKind, RequestSource};
+pub use request::{Request, RequestKind};
 pub use sim::MemorySystem;
 pub use standards::{DramConfig, DramStandard};
 pub use stats::Stats;

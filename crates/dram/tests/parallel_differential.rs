@@ -1,17 +1,20 @@
-//! Randomized sequential-vs-threaded differential testing: for **random**
+//! Randomized differential testing of the channel drives: for **random**
 //! small geometries, channel topologies, controller configurations, request
-//! patterns and worker counts, [`ChannelRouter::run_phase_threaded`] must
-//! produce [`CombinedStats`] bit-identical to the sequential
-//! [`ChannelRouter::run_phase`] — every per-channel field, including
-//! diagnostics such as `stall_cycles`.
+//! patterns and worker counts, both [`ChannelRouter::run_phase`] and
+//! [`ChannelRouter::run_phase_threaded`] must produce [`CombinedStats`]
+//! bit-identical to an independent reference — every per-channel field,
+//! including diagnostics such as `stall_cycles`.
 //!
-//! The threaded drive replays each channel's projection of the sequential
-//! admission schedule (fill, burst-until-accepting, fill, …, drain) on its
-//! own worker; channels share no state, so the worker count and the
-//! channel-to-worker distribution must never leak into the results.  This
-//! suite pins that invariant the same way `engine_differential.rs` pins
-//! cycle/event equivalence.  The case count follows proptest's default (64)
-//! and is raised in CI via `PROPTEST_CASES`.
+//! The router drives each channel through its own saturating loop (in
+//! channel order, or on workers).  The reference in this file drives all
+//! channels under a laggard-first shared clock instead, built only from the
+//! router's public stepping API, so it shares no drive code with the paths
+//! it checks.  Channels share no state, so neither the driving order, the
+//! worker count nor the channel-to-worker distribution may leak into the
+//! results.  This suite pins that invariant the same way
+//! `engine_differential.rs` pins cycle/event equivalence.  The case count
+//! follows proptest's default (64) and is raised in CI via
+//! `PROPTEST_CASES`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -89,29 +92,69 @@ fn traces(config: &DramConfig, seed: u64, base: usize) -> Vec<Vec<Request>> {
         .collect()
 }
 
-/// Drives a fresh router over `traces` with `threads` workers (0 selects
-/// the sequential `run_phase` path) and returns the combined statistics.
+/// The reference drive: every channel's free queue slots are refilled
+/// from its own trace, then the channel whose local clock is furthest
+/// behind steps until it can accept again, until no channel has pending
+/// work; finally every channel drains.
+fn laggard_reference(router: &mut ChannelRouter, traces: &[Vec<Request>]) -> CombinedStats {
+    let mut traces: Vec<_> = traces.iter().map(|t| t.iter().copied()).collect();
+    loop {
+        for (channel, trace) in (0..router.channels()).zip(&mut traces) {
+            let controller = router.controller_mut(channel);
+            for request in trace.by_ref().take(controller.free_slots()) {
+                assert!(controller.enqueue(request), "enqueue within free_slots");
+            }
+        }
+        let Some(channel) = router.laggard_channel() else {
+            break;
+        };
+        let controller = router.controller_mut(channel);
+        controller.step();
+        while !controller.can_accept() && controller.pending_requests() > 0 {
+            controller.step();
+        }
+    }
+    for channel in 0..router.channels() {
+        router.controller_mut(channel).drain();
+    }
+    router.stats()
+}
+
+/// How [`run`] drives the router.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    Reference,
+    Sequential,
+    Threaded(usize),
+}
+
+/// Drives `router` over `traces` and returns the combined statistics.
+fn drive(router: &mut ChannelRouter, traces: &[Vec<Request>], how: Drive) -> CombinedStats {
+    let iters = || traces.iter().map(|t| t.iter().copied()).collect::<Vec<_>>();
+    match how {
+        Drive::Reference => laggard_reference(router, traces),
+        Drive::Sequential => router.run_phase(iters()),
+        Drive::Threaded(threads) => router.run_phase_threaded(iters(), threads),
+    }
+}
+
+/// Drives a fresh router over `traces` and returns the combined statistics.
 fn run(
     config: &DramConfig,
     ctrl: ControllerConfig,
     traces: &[Vec<Request>],
-    threads: usize,
+    how: Drive,
 ) -> CombinedStats {
     let mut router = ChannelRouter::new(config.clone(), ctrl).expect("router builds");
-    let iters: Vec<_> = traces.iter().map(|t| t.iter().copied()).collect();
-    if threads == 0 {
-        router.run_phase(iters)
-    } else {
-        router.run_phase_threaded(iters, threads)
-    }
+    drive(&mut router, traces, how)
 }
 
 proptest! {
-    /// The headline differential property: identical `CombinedStats` from
-    /// the sequential and threaded drives for random (geometry × channel
-    /// topology × refresh × scheduling × page-policy × queue × engine ×
-    /// pattern × thread-count) combinations, including thread counts that
-    /// are odd or exceed the channel count.
+    /// The headline differential property: the sequential and threaded
+    /// drives reproduce the reference `CombinedStats` for random (geometry
+    /// × channel topology × refresh × scheduling × page-policy × queue ×
+    /// engine × pattern × thread-count) combinations, including thread
+    /// counts that are odd or exceed the channel count.
     #[test]
     fn threaded_drive_matches_sequential_on_random_configurations(
         preset_idx in 0usize..10,
@@ -154,18 +197,20 @@ proptest! {
         // power-of-two channel axis evenly.
         let threads = [1usize, 2, 4, 3][threads_idx];
         let traces = traces(&config, seed, 400);
-        let sequential = run(&config, ctrl, &traces, 0);
-        let threaded = run(&config, ctrl, &traces, threads);
-        prop_assert_eq!(
-            &sequential,
-            &threaded,
-            "threaded drive diverged: topology={:?} ctrl={:?} threads={} seed={}",
-            config.topology,
-            ctrl,
-            threads,
-            seed
-        );
-        let completed: u64 = sequential
+        let reference = run(&config, ctrl, &traces, Drive::Reference);
+        for how in [Drive::Sequential, Drive::Threaded(threads)] {
+            let stats = run(&config, ctrl, &traces, how);
+            prop_assert_eq!(
+                &reference,
+                &stats,
+                "{:?} drive diverged: topology={:?} ctrl={:?} seed={}",
+                how,
+                config.topology,
+                ctrl,
+                seed
+            );
+        }
+        let completed: u64 = reference
             .per_channel()
             .iter()
             .map(|s| s.completed_requests)
@@ -175,9 +220,9 @@ proptest! {
     }
 
     /// Consecutive measurement windows (write phase, statistics reset, read
-    /// phase on the same router) must also agree for every thread count —
-    /// any cross-phase clock or bank-state divergence desynchronizes the
-    /// second window.
+    /// phase on the same router) must also match the reference for the
+    /// sequential drive and every thread count — any cross-phase clock or
+    /// bank-state divergence desynchronizes the second window.
     #[test]
     fn threaded_drive_matches_sequential_across_stats_windows(
         preset_idx in 0usize..10,
@@ -188,7 +233,7 @@ proptest! {
         let config = small_config(preset_idx, 2, 2, 7, 5, 1 << channels_log2, 1);
         let ctrl = ControllerConfig::default();
         let threads = [1usize, 2, 4, 3][threads_idx];
-        let run_windows = |threads: usize| -> Vec<CombinedStats> {
+        let run_windows = |how: Drive| -> Vec<CombinedStats> {
             let mut router =
                 ChannelRouter::new(config.clone(), ctrl).expect("router builds");
             let mut windows = Vec::new();
@@ -208,25 +253,20 @@ proptest! {
                             .collect()
                     })
                     .collect();
-                let iters: Vec<_> =
-                    phase_traces.iter().map(|t| t.iter().copied()).collect();
-                windows.push(if threads == 0 {
-                    router.run_phase(iters)
-                } else {
-                    router.run_phase_threaded(iters, threads)
-                });
+                windows.push(drive(&mut router, &phase_traces, how));
                 router.reset_stats();
             }
             windows
         };
-        let sequential = run_windows(0);
-        let threaded = run_windows(threads);
-        prop_assert_eq!(
-            sequential,
-            threaded,
-            "windows diverged for {} threads, seed {}",
-            threads,
-            seed
-        );
+        let reference = run_windows(Drive::Reference);
+        for how in [Drive::Sequential, Drive::Threaded(threads)] {
+            prop_assert_eq!(
+                &reference,
+                &run_windows(how),
+                "{:?} windows diverged, seed {}",
+                how,
+                seed
+            );
+        }
     }
 }

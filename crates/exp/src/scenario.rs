@@ -438,10 +438,8 @@ impl Scenario {
         let started = std::time::Instant::now();
         let mut record = if self.tenants.is_some() {
             self.run_tenant_mode()
-        } else if self.dram.topology.is_single() {
-            self.run_single_channel()
         } else {
-            self.run_multi_channel()
+            self.run_phases()
         }?;
         record.wall_time_s = started.elapsed().as_secs_f64();
         record.sim_cycles_per_second = if record.wall_time_s > 0.0 {
@@ -465,50 +463,15 @@ impl Scenario {
         }
     }
 
-    /// The single-channel, single-rank path, which reproduces the Table I
-    /// records bit-identically.
-    fn run_single_channel(&self) -> Result<Record, ExpError> {
-        let report = self.evaluator().evaluate(self.mapping)?;
-        let mut totals = report.write.stats.clone();
-        totals.merge(&report.read.stats);
-        let energy =
-            EnergyReport::from_stats(&totals, &self.dram, &EnergyParams::for_config(&self.dram));
-        Ok(Record {
-            scenario_id: self.id(),
-            dram_label: self.dram.label(),
-            mapping: self.mapping.label(),
-            bursts: self.spec.burst_count(),
-            dimension: self.spec.dimension(),
-            refresh_disabled: self.controller.refresh_mode == Some(RefreshMode::Disabled),
-            channels: 1,
-            ranks: 1,
-            write_utilization: report.write.utilization,
-            read_utilization: report.read.utilization,
-            min_utilization: report.min_utilization(),
-            sustained_gbps: report.sustained_throughput_gbps(),
-            aggregate_gbps: report.sustained_throughput_gbps(),
-            channel_utilization_spread: 0.0,
-            write_row_hit_rate: report.write.stats.row_hit_rate(),
-            read_row_hit_rate: report.read.stats.row_hit_rate(),
-            activates: totals.activates,
-            energy_total_mj: energy.total_mj,
-            energy_nj_per_byte: energy.nj_per_byte,
-            simulated_cycles: totals.elapsed_cycles,
-            threads: self.threads as u32,
-            wall_time_s: 0.0,
-            sim_cycles_per_second: 0.0,
-            link: None,
-            tenants: None,
-        })
-    }
-
-    /// The multi-channel/multi-rank path: traffic is striped across the
+    /// The write-then-read phase measurement: traffic is striped across the
     /// channels by the mapping's channel-aware variant, each channel runs
     /// under its own controller, and the per-channel statistics are
     /// aggregated (see
-    /// [`ChannelRouter`](tbi_dram::channel::ChannelRouter)).
-    fn run_multi_channel(&self) -> Result<Record, ExpError> {
-        let report = self.evaluator().evaluate_channels(self.mapping)?;
+    /// [`ChannelRouter`](tbi_dram::channel::ChannelRouter)).  On a `1 × 1`
+    /// topology the reductions are exact, so the Table I records come out
+    /// bit-identical to a single stand-alone controller.
+    fn run_phases(&self) -> Result<Record, ExpError> {
+        let report = self.evaluator().evaluate(self.mapping)?;
         let per_channel = report
             .write
             .stats
@@ -521,7 +484,7 @@ impl Scenario {
                 totals
             });
         let totals = self.channel_totals(per_channel);
-        let aggregate_gbps = report.sustained_aggregate_gbps();
+        let aggregate_gbps = report.sustained_throughput_gbps();
         Ok(Record {
             scenario_id: self.id(),
             dram_label: self.dram.label(),
@@ -855,6 +818,38 @@ mod tests {
         // Both engines agree on the multi-channel path too.
         let cycle = scenario.clone().with_engine(TimingEngine::Cycle);
         assert_eq!(scenario.run().unwrap(), cycle.run().unwrap());
+    }
+
+    #[test]
+    fn evaluator_covers_the_preset_topology_like_the_record() {
+        // Modern presets carry their own channels and ranks; the evaluator
+        // must simulate all of them and agree with the record bit for bit.
+        for &(standard, rate) in tbi_dram::standards::MODERN_CONFIGS {
+            for kind in MappingKind::TABLE1 {
+                let scenario = Scenario::preset(standard, rate, kind, small_spec()).unwrap();
+                let topology = scenario.dram().topology;
+                let report = scenario.evaluator().evaluate(kind).unwrap();
+                let record = scenario.run().unwrap();
+                let label = scenario.id();
+                assert_eq!(
+                    (report.channels, report.ranks),
+                    (topology.channels, topology.ranks),
+                    "{label}"
+                );
+                assert_eq!(
+                    (record.channels, record.ranks),
+                    (report.channels, report.ranks)
+                );
+                for (reported, recorded) in [
+                    (report.write_utilization(), record.write_utilization),
+                    (report.read_utilization(), record.read_utilization),
+                    (report.min_utilization(), record.min_utilization),
+                    (report.sustained_throughput_gbps(), record.aggregate_gbps),
+                ] {
+                    assert_eq!(reported.to_bits(), recorded.to_bits(), "{label}");
+                }
+            }
+        }
     }
 
     #[test]

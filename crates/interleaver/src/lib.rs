@@ -39,6 +39,8 @@
 //! let baseline = evaluator.evaluate(MappingKind::RowMajor)?;
 //! let optimized = evaluator.evaluate(MappingKind::Optimized)?;
 //! assert!(optimized.min_utilization() >= baseline.min_utilization());
+//! // The evaluation covers the device's whole channel/rank topology.
+//! assert_eq!((optimized.channels, optimized.ranks), (1, 1));
 //! # Ok(())
 //! # }
 //! ```
@@ -52,7 +54,7 @@
 //! | [`two_stage`] | SRAM + DRAM two-stage interleaver composition |
 //! | [`mapping`] | the [`DramMapping`] trait and all mapping schemes |
 //! | [`trace`] | write-phase / read-phase DRAM request generation |
-//! | [`throughput`] | drives `tbi-dram` and reports per-phase utilization |
+//! | [`throughput`] | drives `tbi-dram` over the device's channels and reports per-phase utilization |
 //! | [`config`] | interleaver sizing helpers |
 //! | [`analysis`] | analytic access-pattern statistics (activations, hit rates, bank balance) |
 
@@ -74,10 +76,7 @@ pub use mapping::{
     ChannelMapping, ChannelTraceGenerator, DramMapping, MappingKind, OptimizedMapping,
     RowMajorMapping, TileOrder,
 };
-pub use throughput::{
-    ChannelPhaseReport, ChannelUtilizationReport, PhaseReport, ThroughputEvaluator,
-    UtilizationReport,
-};
+pub use throughput::{PhaseReport, ThroughputEvaluator, UtilizationReport};
 pub use trace::{AccessPhase, PhaseTrace, TraceGenerator};
 pub use triangular::TriangularInterleaver;
 pub use two_stage::TwoStageInterleaver;

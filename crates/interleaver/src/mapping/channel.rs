@@ -30,11 +30,11 @@
 
 use tbi_dram::{
     AddressBatch, AddressDecoder, ChannelTopology, DramConfig, PhysicalAddress, Request,
-    RequestSource,
 };
 
 use crate::config::InterleaverSpec;
 use crate::mapping::{DramMapping, MappingKind, PermutedMapping, BATCH_CHUNK};
+use crate::trace::{AccessPhase, PositionWalk};
 use crate::triangular::TriangularInterleaver;
 use crate::InterleaverError;
 
@@ -391,8 +391,9 @@ impl ChannelMapping {
     /// indices and compacted inner coordinates through a stack chunk, maps
     /// the inner coordinates with the wrapped scheme's
     /// [`DramMapping::map_batch`] kernel and then overwrites the channel and
-    /// rank lanes in two tight per-lane loops.  Results are bit-identical to
-    /// per-element `route`.
+    /// rank lanes in two tight per-lane loops — or, on a `1 × 1` topology,
+    /// hands the coordinates straight to that kernel.  Results are
+    /// bit-identical to per-element `route`.
     ///
     /// # Panics
     ///
@@ -400,6 +401,11 @@ impl ChannelMapping {
     /// space.
     pub fn route_batch(&self, coords: &[(u32, u32)], out: &mut AddressBatch) {
         match &self.router {
+            // One lane: every position routes to channel 0, rank 0 and the
+            // uncompacted column, which is the wrapped scheme's own batch.
+            Router::TileRotate { inner, .. } if self.topology.units() == 1 => {
+                inner.map_batch(coords, out);
+            }
             Router::LinearSplice {
                 interleaver,
                 decoder,
@@ -514,14 +520,13 @@ fn stripe_tile(n: u32, lanes: u32) -> u32 {
 /// Produced by [`ChannelTraceGenerator::channel_requests`].
 pub struct ChannelTrace<'a> {
     mapping: &'a ChannelMapping,
-    phase: crate::trace::AccessPhase,
     channel: u32,
-    n: u32,
-    outer: u32,
-    inner: u32,
-    remaining: u64,
+    walk: PositionWalk,
+    /// Requests routed ahead for `next`, served from `buffer[position..]`.
+    buffer: Vec<Request>,
+    position: usize,
     /// Scratch SoA buffer for [`ChannelTrace::fill_batch`] (reused across
-    /// calls; empty until the batched path is used).
+    /// calls).
     scratch: AddressBatch,
 }
 
@@ -538,72 +543,40 @@ impl ChannelTrace<'_> {
     ///
     /// Returns `0` if and only if the trace is exhausted.
     pub fn fill_batch(&mut self, out: &mut Vec<Request>, max: usize) -> usize {
-        use crate::trace::AccessPhase;
         let before = out.len();
+        // Requests `next` already routed come first.
+        out.extend_from_slice(&self.buffer[self.position..]);
+        self.position = self.buffer.len();
         let mut coords = [(0u32, 0u32); BATCH_CHUNK];
-        while out.len() - before < max && self.remaining > 0 {
-            let take = self.remaining.min(BATCH_CHUNK as u64) as usize;
-            for slot in coords.iter_mut().take(take) {
-                *slot = match self.phase {
-                    AccessPhase::Write => (self.outer, self.inner),
-                    AccessPhase::Read => (self.inner, self.outer),
-                };
-                self.inner += 1;
-                if self.inner >= self.n - self.outer {
-                    self.inner = 0;
-                    self.outer += 1;
-                }
-            }
-            self.remaining -= take as u64;
+        while out.len() - before < max && self.walk.remaining() > 0 {
+            let chunk = self.walk.next_chunk(&mut coords);
             self.scratch.clear();
-            self.mapping.route_batch(&coords[..take], &mut self.scratch);
+            self.mapping.route_batch(chunk, &mut self.scratch);
+            let phase = self.walk.phase();
             for (index, &channel) in self.scratch.channels().iter().enumerate() {
-                if channel != self.channel {
-                    continue;
+                if channel == self.channel {
+                    out.push(phase.request(self.scratch.address(index)));
                 }
-                let address = self.scratch.address(index);
-                out.push(match self.phase {
-                    AccessPhase::Write => Request::write(address),
-                    AccessPhase::Read => Request::read(address),
-                });
             }
         }
         out.len() - before
     }
 }
 
-impl RequestSource for ChannelTrace<'_> {
-    fn fill(&mut self, out: &mut Vec<Request>, max: usize) -> usize {
-        self.fill_batch(out, max)
-    }
-}
-
 impl Iterator for ChannelTrace<'_> {
-    type Item = tbi_dram::Request;
+    type Item = Request;
 
-    fn next(&mut self) -> Option<tbi_dram::Request> {
-        use crate::trace::AccessPhase;
-        while self.remaining > 0 {
-            self.remaining -= 1;
-            let (i, j) = match self.phase {
-                AccessPhase::Write => (self.outer, self.inner),
-                AccessPhase::Read => (self.inner, self.outer),
-            };
-            self.inner += 1;
-            if self.inner >= self.n - self.outer {
-                self.inner = 0;
-                self.outer += 1;
-            }
-            let (channel, address) = self.mapping.route(i, j);
-            if channel != self.channel {
-                continue;
-            }
-            return Some(match self.phase {
-                AccessPhase::Write => tbi_dram::Request::write(address),
-                AccessPhase::Read => tbi_dram::Request::read(address),
-            });
+    fn next(&mut self) -> Option<Request> {
+        if self.position == self.buffer.len() {
+            let mut buffer = std::mem::take(&mut self.buffer);
+            buffer.clear();
+            self.position = 0;
+            self.fill_batch(&mut buffer, BATCH_CHUNK);
+            self.buffer = buffer;
         }
-        None
+        let request = *self.buffer.get(self.position)?;
+        self.position += 1;
+        Some(request)
     }
 }
 
@@ -649,19 +622,13 @@ impl<'a> ChannelTraceGenerator<'a> {
 
     /// The stream of `phase` requests routed to `channel`, in phase order.
     #[must_use]
-    pub fn channel_requests(
-        &self,
-        phase: crate::trace::AccessPhase,
-        channel: u32,
-    ) -> ChannelTrace<'a> {
+    pub fn channel_requests(&self, phase: AccessPhase, channel: u32) -> ChannelTrace<'a> {
         ChannelTrace {
             mapping: self.mapping,
-            phase,
             channel,
-            n: self.mapping.dimension(),
-            outer: 0,
-            inner: 0,
-            remaining: self.len,
+            walk: PositionWalk::new(phase, self.mapping.dimension()),
+            buffer: Vec::new(),
+            position: 0,
             scratch: AddressBatch::new(),
         }
     }
@@ -690,7 +657,6 @@ pub fn channel_mapping_for_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::AccessPhase;
     use std::collections::{HashMap, HashSet};
     use tbi_dram::DramStandard;
 
@@ -881,17 +847,37 @@ mod tests {
 
     #[test]
     fn channel_trace_fill_batch_matches_the_iterator() {
-        let cfg = config(2, 2);
-        for kind in [MappingKind::RowMajor, MappingKind::Optimized] {
-            let mapping = ChannelMapping::new(kind, &cfg, 96).unwrap();
-            let generator = ChannelTraceGenerator::new(&mapping);
-            for phase in AccessPhase::ALL {
-                for channel in 0..2 {
-                    let scalar: Vec<_> = generator.channel_requests(phase, channel).collect();
-                    let mut trace = generator.channel_requests(phase, channel);
-                    let mut batched = Vec::new();
-                    while trace.fill_batch(&mut batched, 100) > 0 {}
-                    assert_eq!(batched, scalar, "{kind} {phase} channel {channel}");
+        let n = 96u32;
+        for (channels, ranks) in [(1, 1), (2, 2)] {
+            let cfg = config(channels, ranks);
+            for kind in [MappingKind::RowMajor, MappingKind::Optimized] {
+                let mapping = ChannelMapping::new(kind, &cfg, n).unwrap();
+                let generator = ChannelTraceGenerator::new(&mapping);
+                for phase in AccessPhase::ALL {
+                    for channel in 0..channels {
+                        // A scalar `route` walk over the triangle, kept to
+                        // this channel.
+                        let mut scalar = Vec::new();
+                        for outer in 0..n {
+                            for inner in 0..n - outer {
+                                let (i, j) = match phase {
+                                    AccessPhase::Write => (outer, inner),
+                                    AccessPhase::Read => (inner, outer),
+                                };
+                                let (routed, address) = mapping.route(i, j);
+                                if routed == channel {
+                                    scalar.push(phase.request(address));
+                                }
+                            }
+                        }
+                        let label = format!("{kind} {channels}x{ranks} {phase} channel {channel}");
+                        let iterated: Vec<_> = generator.channel_requests(phase, channel).collect();
+                        assert_eq!(iterated, scalar, "{label} iterator");
+                        let mut trace = generator.channel_requests(phase, channel);
+                        let mut batched = Vec::new();
+                        while trace.fill_batch(&mut batched, 100) > 0 {}
+                        assert_eq!(batched, scalar, "{label} fill_batch");
+                    }
                 }
             }
         }

@@ -2,34 +2,42 @@
 //! traces and reports per-phase results (the machinery behind Table I).
 
 use tbi_dram::channel::{ChannelRouter, CombinedStats};
-use tbi_dram::{ControllerConfig, DramConfig, MemorySystem, RefreshMode, Stats};
+use tbi_dram::{ControllerConfig, DramConfig, RefreshMode};
 
 use crate::config::InterleaverSpec;
-use crate::mapping::{ChannelMapping, ChannelTraceGenerator, DramMapping, MappingKind};
-use crate::trace::{AccessPhase, TraceGenerator};
+use crate::mapping::{ChannelMapping, ChannelTraceGenerator, MappingKind};
+use crate::trace::AccessPhase;
 use crate::InterleaverError;
 
-/// Result of simulating one access phase.
+/// Result of simulating one access phase on the configuration's channels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
     /// Which phase was simulated.
     pub phase: AccessPhase,
-    /// Raw controller statistics for the phase.
-    pub stats: Stats,
-    /// Data-bus utilization in `[0, 1]`.
+    /// Per-channel controller statistics for the phase.
+    pub stats: CombinedStats,
+    /// Aggregate data-bus utilization in `[0, 1]` (total busy cycles over
+    /// `channels × max elapsed`).
     pub utilization: f64,
-    /// Achieved bandwidth in Gbit/s.
-    pub bandwidth_gbps: f64,
+    /// Aggregate achieved bandwidth in Gbit/s across all channels.
+    pub aggregate_bandwidth_gbps: f64,
+    /// Spread (max − min) of the per-channel utilizations.
+    pub utilization_spread: f64,
 }
 
 /// Result of simulating both phases of one (DRAM configuration, mapping)
-/// pair — one cell pair of the paper's Table I.
+/// pair on the configuration's channel/rank topology — one cell pair of
+/// the paper's Table I.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UtilizationReport {
     /// DRAM configuration label, e.g. `DDR4-3200`.
     pub config_label: String,
-    /// Mapping scheme name.
+    /// Mapping scheme label.
     pub mapping_name: String,
+    /// Channel count of the subsystem.
+    pub channels: u32,
+    /// Ranks per channel.
+    pub ranks: u32,
     /// Write-phase (row-wise) result.
     pub write: PhaseReport,
     /// Read-phase (column-wise) result.
@@ -56,59 +64,11 @@ impl UtilizationReport {
         self.write.utilization.min(self.read.utilization)
     }
 
-    /// The sustained interleaver throughput in Gbit/s, i.e. the peak DRAM
-    /// bandwidth scaled by the minimum phase utilization.
+    /// The sustained aggregate interleaver throughput in Gbit/s, i.e. the
+    /// peak bandwidth of all channels scaled by the minimum phase
+    /// utilization.
     #[must_use]
     pub fn sustained_throughput_gbps(&self) -> f64 {
-        self.write.bandwidth_gbps.min(self.read.bandwidth_gbps)
-    }
-}
-
-/// Result of simulating one access phase on a multi-channel subsystem.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChannelPhaseReport {
-    /// Which phase was simulated.
-    pub phase: AccessPhase,
-    /// Per-channel controller statistics for the phase.
-    pub stats: CombinedStats,
-    /// Aggregate data-bus utilization in `[0, 1]` (total busy cycles over
-    /// `channels × max elapsed`).
-    pub utilization: f64,
-    /// Aggregate achieved bandwidth in Gbit/s across all channels.
-    pub aggregate_bandwidth_gbps: f64,
-    /// Spread (max − min) of the per-channel utilizations.
-    pub utilization_spread: f64,
-}
-
-/// Result of simulating both phases of one (DRAM configuration, mapping)
-/// pair on a multi-channel, multi-rank subsystem.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChannelUtilizationReport {
-    /// DRAM configuration label, e.g. `DDR4-3200`.
-    pub config_label: String,
-    /// Mapping scheme name.
-    pub mapping_name: String,
-    /// Channel count of the subsystem.
-    pub channels: u32,
-    /// Ranks per channel.
-    pub ranks: u32,
-    /// Write-phase (row-wise) result.
-    pub write: ChannelPhaseReport,
-    /// Read-phase (column-wise) result.
-    pub read: ChannelPhaseReport,
-}
-
-impl ChannelUtilizationReport {
-    /// The minimum of both phases' aggregate utilizations — what limits the
-    /// interleaver throughput.
-    #[must_use]
-    pub fn min_utilization(&self) -> f64 {
-        self.write.utilization.min(self.read.utilization)
-    }
-
-    /// The sustained aggregate interleaver throughput in Gbit/s.
-    #[must_use]
-    pub fn sustained_aggregate_gbps(&self) -> f64 {
         self.write
             .aggregate_bandwidth_gbps
             .min(self.read.aggregate_bandwidth_gbps)
@@ -177,7 +137,7 @@ impl ThroughputEvaluator {
     }
 
     /// Sets the worker-thread count used by
-    /// [`ThroughputEvaluator::evaluate_channels`] (clamped to at least 1).
+    /// [`ThroughputEvaluator::evaluate`] (clamped to at least 1).
     /// Results are bit-identical for any value; threading only changes
     /// wall-clock time.
     #[must_use]
@@ -208,18 +168,11 @@ impl ThroughputEvaluator {
         clone
     }
 
-    /// Evaluates a named mapping scheme.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterleaverError`] if the mapping cannot be built for this
-    /// device/interleaver combination.
-    pub fn evaluate(&self, kind: MappingKind) -> Result<UtilizationReport, InterleaverError> {
-        let mapping = kind.build(&self.dram, self.spec.dimension())?;
-        self.evaluate_mapping(mapping.as_ref())
-    }
-
-    /// Evaluates an arbitrary mapping implementation.
+    /// Evaluates a named mapping scheme on the configuration's full
+    /// channel/rank topology: traffic is striped over the channels by the
+    /// scheme's [`ChannelMapping`] variant, each channel runs its stream
+    /// through its own controller (see [`ChannelRouter`]), and the
+    /// per-channel statistics are aggregated.
     ///
     /// The write phase is simulated first (row-wise writes), statistics are
     /// then reset while preserving bank state, and the read phase follows —
@@ -229,94 +182,45 @@ impl ThroughputEvaluator {
     /// # Errors
     ///
     /// Returns [`InterleaverError`] if the index space does not fit the
-    /// device or the DRAM configuration is invalid.
-    pub fn evaluate_mapping(
-        &self,
-        mapping: &dyn DramMapping,
-    ) -> Result<UtilizationReport, InterleaverError> {
-        self.spec
-            .check_capacity(self.dram.geometry.total_bursts())?;
-        let interleaver = self.spec.triangular();
-        let generator = TraceGenerator::new(interleaver, mapping);
-        let mut system = MemorySystem::with_controller(self.dram.clone(), self.controller)?;
-
-        // The batched source path: mapping work runs in slices through
-        // `PhaseTrace::fill_batch`, with statistics bit-identical to feeding
-        // the scalar iterator (pinned by the source-equivalence tests).
-        let write_stats = system.run_source(generator.requests(AccessPhase::Write));
-        system.reset_stats();
-        let read_stats = system.run_source(generator.requests(AccessPhase::Read));
+    /// subsystem under this scheme or the DRAM configuration is invalid.
+    pub fn evaluate(&self, kind: MappingKind) -> Result<UtilizationReport, InterleaverError> {
+        let topology = self.dram.topology;
+        self.spec.check_capacity(
+            self.dram
+                .geometry
+                .total_bursts()
+                .saturating_mul(u64::from(topology.units())),
+        )?;
+        let mapping = ChannelMapping::new(kind, &self.dram, self.spec.dimension())?;
+        let generator = ChannelTraceGenerator::new(&mapping);
+        let mut router = ChannelRouter::new(self.dram.clone(), self.controller)?;
+        let mut run_phase = |phase: AccessPhase| {
+            let traces: Vec<_> = (0..topology.channels)
+                .map(|channel| generator.channel_requests(phase, channel))
+                .collect();
+            let stats = router.run_phase_threaded(traces, self.threads);
+            router.reset_stats();
+            self.phase_report(phase, stats)
+        };
+        let write = run_phase(AccessPhase::Write);
+        let read = run_phase(AccessPhase::Read);
 
         Ok(UtilizationReport {
             config_label: self.dram.label(),
             mapping_name: mapping.name().to_string(),
-            write: self.phase_report(AccessPhase::Write, write_stats),
-            read: self.phase_report(AccessPhase::Read, read_stats),
-        })
-    }
-
-    /// Evaluates a named mapping scheme on the configuration's full
-    /// channel/rank topology: traffic is striped over the channels by the
-    /// scheme's [`ChannelMapping`] variant, each channel runs its stream
-    /// through its own controller under the
-    /// [`ChannelRouter`]'s shared clock, and the per-channel statistics are
-    /// aggregated.
-    ///
-    /// With the default `1 × 1` topology this reproduces
-    /// [`ThroughputEvaluator::evaluate`] exactly (same addresses, same
-    /// single controller, same statistics).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterleaverError`] if the mapping cannot be built for this
-    /// subsystem/interleaver combination.
-    pub fn evaluate_channels(
-        &self,
-        kind: MappingKind,
-    ) -> Result<ChannelUtilizationReport, InterleaverError> {
-        let topology = self.dram.topology;
-        let mapping = ChannelMapping::new(kind, &self.dram, self.spec.dimension())?;
-        let generator = ChannelTraceGenerator::new(&mapping);
-        let mut router = ChannelRouter::new(self.dram.clone(), self.controller)
-            .map_err(InterleaverError::Dram)?;
-
-        let threads = self.threads;
-        let phase_stats = |router: &mut ChannelRouter, phase: AccessPhase| {
-            let traces: Vec<_> = (0..topology.channels)
-                .map(|channel| generator.channel_requests(phase, channel))
-                .collect();
-            // Batched per-channel sources (`ChannelTrace::fill_batch`);
-            // request sequences and statistics match the scalar iterators.
-            // With `threads > 1` channels run on workers; the per-channel
-            // drive schedule — and therefore every statistic — is identical
-            // to the sequential laggard loop (see the threaded-drive notes
-            // on `ChannelRouter`).
-            if threads > 1 {
-                router.run_phase_sources_threaded(traces, threads)
-            } else {
-                router.run_phase_sources(traces)
-            }
-        };
-        let write_stats = phase_stats(&mut router, AccessPhase::Write);
-        router.reset_stats();
-        let read_stats = phase_stats(&mut router, AccessPhase::Read);
-
-        Ok(ChannelUtilizationReport {
-            config_label: self.dram.label(),
-            mapping_name: mapping.name().to_string(),
             channels: topology.channels,
             ranks: topology.ranks,
-            write: self.channel_phase_report(AccessPhase::Write, write_stats),
-            read: self.channel_phase_report(AccessPhase::Read, read_stats),
+            write,
+            read,
         })
     }
 
-    fn channel_phase_report(&self, phase: AccessPhase, stats: CombinedStats) -> ChannelPhaseReport {
+    fn phase_report(&self, phase: AccessPhase, stats: CombinedStats) -> PhaseReport {
         let utilization = stats.utilization();
         let aggregate_bandwidth_gbps = stats
             .aggregate_bandwidth_gbps(self.dram.clock_mhz(), self.dram.geometry.bus_width_bits);
         let utilization_spread = stats.utilization_spread();
-        ChannelPhaseReport {
+        PhaseReport {
             phase,
             stats,
             utilization,
@@ -324,61 +228,13 @@ impl ThroughputEvaluator {
             utilization_spread,
         }
     }
-
-    /// Evaluates the paper's Table I pair (row-major and optimized) and
-    /// returns both reports.
-    ///
-    /// # Errors
-    ///
-    /// See [`ThroughputEvaluator::evaluate`].
-    pub fn evaluate_table1_pair(
-        &self,
-    ) -> Result<(UtilizationReport, UtilizationReport), InterleaverError> {
-        Ok((
-            self.evaluate(MappingKind::RowMajor)?,
-            self.evaluate(MappingKind::Optimized)?,
-        ))
-    }
-
-    fn phase_report(&self, phase: AccessPhase, stats: Stats) -> PhaseReport {
-        let utilization = stats.bus_utilization();
-        let bandwidth_gbps =
-            stats.achieved_bandwidth_gbps(self.dram.clock_mhz(), self.dram.geometry.bus_width_bits);
-        PhaseReport {
-            phase,
-            stats,
-            utilization,
-            bandwidth_gbps,
-        }
-    }
-}
-
-/// Runs a sweep over several interleaver sizes for one mapping kind,
-/// returning `(burst_count, report)` pairs.  Used to reproduce the paper's
-/// remark that other interleaver dimensions "differ only slightly".
-///
-/// # Errors
-///
-/// Returns [`InterleaverError`] if any single evaluation fails.
-pub fn size_sweep(
-    dram: &DramConfig,
-    kind: MappingKind,
-    burst_counts: &[u64],
-) -> Result<Vec<(u64, UtilizationReport)>, InterleaverError> {
-    burst_counts
-        .iter()
-        .map(|&bursts| {
-            let evaluator =
-                ThroughputEvaluator::new(dram.clone(), InterleaverSpec::from_burst_count(bursts));
-            Ok((bursts, evaluator.evaluate(kind)?))
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbi_dram::DramStandard;
+    use crate::trace::TraceGenerator;
+    use tbi_dram::{DramStandard, MemorySystem};
 
     fn evaluator(standard: DramStandard, rate: u32, bursts: u64) -> ThroughputEvaluator {
         let dram = DramConfig::preset(standard, rate).unwrap();
@@ -388,7 +244,8 @@ mod tests {
     #[test]
     fn optimized_beats_row_major_on_fast_ddr4() {
         let eval = evaluator(DramStandard::Ddr4, 3200, 60_000);
-        let (baseline, optimized) = eval.evaluate_table1_pair().unwrap();
+        let baseline = eval.evaluate(MappingKind::RowMajor).unwrap();
+        let optimized = eval.evaluate(MappingKind::Optimized).unwrap();
         assert!(
             optimized.min_utilization() > baseline.min_utilization(),
             "optimized {} must beat row-major {}",
@@ -406,12 +263,13 @@ mod tests {
         let report = eval.evaluate(MappingKind::Optimized).unwrap();
         assert_eq!(report.config_label, "DDR3-800");
         assert_eq!(report.mapping_name, "optimized");
+        assert_eq!((report.channels, report.ranks), (1, 1));
         assert_eq!(
-            report.write.stats.completed_requests,
+            report.write.stats.aggregate().completed_requests,
             eval.spec().total_positions()
         );
         assert_eq!(
-            report.read.stats.completed_requests,
+            report.read.stats.aggregate().completed_requests,
             eval.spec().total_positions()
         );
         assert!(report.sustained_throughput_gbps() > 0.0);
@@ -436,38 +294,34 @@ mod tests {
     }
 
     #[test]
-    fn size_sweep_returns_one_report_per_size() {
-        let dram = DramConfig::preset(DramStandard::Lpddr4, 2133).unwrap();
-        let sweep = size_sweep(&dram, MappingKind::Optimized, &[2_000, 8_000]).unwrap();
-        assert_eq!(sweep.len(), 2);
-        assert_eq!(sweep[0].0, 2_000);
-        assert!(sweep[1].1.min_utilization() > 0.0);
-    }
-
-    #[test]
     fn single_topology_channel_evaluation_matches_legacy_path() {
+        // On 1x1 the evaluation must equal one stand-alone controller fed
+        // the plain mapping's phase traces: write, reset, read.
         let eval = evaluator(DramStandard::Ddr4, 3200, 20_000);
+        let (clock, width) = (eval.dram().clock_mhz(), eval.dram().geometry.bus_width_bits);
         for kind in MappingKind::TABLE1 {
-            let legacy = eval.evaluate(kind).unwrap();
-            let channels = eval.evaluate_channels(kind).unwrap();
-            assert_eq!(channels.channels, 1);
-            assert_eq!(channels.ranks, 1);
-            // One channel: the per-channel stats are exactly the legacy
-            // single-controller stats, phase by phase.
+            let report = eval.evaluate(kind).unwrap();
+            assert_eq!((report.channels, report.ranks), (1, 1));
+            let mapping = kind.build(eval.dram(), eval.spec().dimension()).unwrap();
+            let generator = TraceGenerator::new(eval.spec().triangular(), mapping.as_ref());
+            let mut system = MemorySystem::new(eval.dram().clone()).unwrap();
+            let write = system.run_trace(generator.requests(AccessPhase::Write));
+            system.reset_stats();
+            let read = system.run_trace(generator.requests(AccessPhase::Read));
             assert_eq!(
-                channels.write.stats.per_channel(),
-                std::slice::from_ref(&legacy.write.stats)
+                report.write.stats.per_channel(),
+                std::slice::from_ref(&write)
             );
+            assert_eq!(report.read.stats.per_channel(), std::slice::from_ref(&read));
+            assert_eq!(report.write_utilization(), write.bus_utilization());
+            assert_eq!(report.read_utilization(), read.bus_utilization());
             assert_eq!(
-                channels.read.stats.per_channel(),
-                std::slice::from_ref(&legacy.read.stats)
+                report.sustained_throughput_gbps(),
+                write
+                    .achieved_bandwidth_gbps(clock, width)
+                    .min(read.achieved_bandwidth_gbps(clock, width))
             );
-            assert_eq!(channels.min_utilization(), legacy.min_utilization());
-            assert_eq!(
-                channels.sustained_aggregate_gbps(),
-                legacy.sustained_throughput_gbps()
-            );
-            assert_eq!(channels.utilization_spread(), 0.0);
+            assert_eq!(report.utilization_spread(), 0.0);
         }
     }
 
@@ -476,21 +330,21 @@ mod tests {
         let dram = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
         let spec = InterleaverSpec::from_burst_count(100_000);
         let single = ThroughputEvaluator::new(dram.clone(), spec)
-            .evaluate_channels(MappingKind::Optimized)
+            .evaluate(MappingKind::Optimized)
             .unwrap();
         let dual = ThroughputEvaluator::new(
             dram.with_topology(tbi_dram::ChannelTopology::new(2, 1)),
             spec,
         )
-        .evaluate_channels(MappingKind::Optimized)
+        .evaluate(MappingKind::Optimized)
         .unwrap();
-        let scaling = dual.sustained_aggregate_gbps() / single.sustained_aggregate_gbps();
+        let scaling = dual.sustained_throughput_gbps() / single.sustained_throughput_gbps();
         assert!(
             scaling > 1.8,
             "2-channel aggregate bandwidth should scale ≥1.8x, got {scaling} \
              ({} vs {})",
-            single.sustained_aggregate_gbps(),
-            dual.sustained_aggregate_gbps()
+            single.sustained_throughput_gbps(),
+            dual.sustained_throughput_gbps()
         );
         assert!(
             dual.utilization_spread() < 0.1,
@@ -506,12 +360,12 @@ mod tests {
             .with_topology(tbi_dram::ChannelTopology::new(4, 1));
         let spec = InterleaverSpec::from_burst_count(40_000);
         let sequential = ThroughputEvaluator::new(dram.clone(), spec)
-            .evaluate_channels(MappingKind::Optimized)
+            .evaluate(MappingKind::Optimized)
             .unwrap();
         for threads in [2, 3, 4, 8] {
             let threaded = ThroughputEvaluator::new(dram.clone(), spec)
                 .with_threads(threads)
-                .evaluate_channels(MappingKind::Optimized)
+                .evaluate(MappingKind::Optimized)
                 .unwrap();
             assert_eq!(
                 threaded, sequential,

@@ -1,6 +1,6 @@
 //! DRAM request trace generation for the two interleaver access phases.
 
-use tbi_dram::{AddressBatch, Request, RequestSource};
+use tbi_dram::{AddressBatch, PhysicalAddress, Request};
 
 use crate::mapping::{DramMapping, BATCH_CHUNK};
 use crate::triangular::TriangularInterleaver;
@@ -25,6 +25,77 @@ impl AccessPhase {
             AccessPhase::Write => "write",
             AccessPhase::Read => "read",
         }
+    }
+
+    /// The request this phase issues to `address`: a write for
+    /// [`AccessPhase::Write`], a read for [`AccessPhase::Read`].
+    pub(crate) fn request(self, address: PhysicalAddress) -> Request {
+        match self {
+            AccessPhase::Write => Request::write(address),
+            AccessPhase::Read => Request::read(address),
+        }
+    }
+}
+
+/// The position order of one phase over the triangle: row by row for the
+/// write phase, column by column for the read phase.  Both sweep lines of
+/// length `n - outer`; they only differ in which coordinate is the line
+/// index.
+#[derive(Debug, Clone)]
+pub(crate) struct PositionWalk {
+    phase: AccessPhase,
+    n: u32,
+    /// Row index (write phase) or column index (read phase).
+    outer: u32,
+    /// Position within the current row/column, `0..n - outer`.
+    inner: u32,
+    /// Positions not yet visited.
+    remaining: u64,
+}
+
+impl PositionWalk {
+    /// The walk of `phase` over the triangle of dimension `n`.
+    pub(crate) fn new(phase: AccessPhase, n: u32) -> Self {
+        let len = u64::from(n) * (u64::from(n) + 1) / 2;
+        Self {
+            phase,
+            n,
+            outer: 0,
+            inner: 0,
+            remaining: len,
+        }
+    }
+
+    /// The phase being walked.
+    pub(crate) fn phase(&self) -> AccessPhase {
+        self.phase
+    }
+
+    /// Positions not yet visited.
+    pub(crate) fn remaining(&self) -> u64 {
+        self.remaining
+    }
+
+    /// Stages the next (up to [`BATCH_CHUNK`]) positions into `coords` and
+    /// returns them; empty once the walk is over.
+    pub(crate) fn next_chunk<'c>(
+        &mut self,
+        coords: &'c mut [(u32, u32); BATCH_CHUNK],
+    ) -> &'c [(u32, u32)] {
+        let take = self.remaining.min(BATCH_CHUNK as u64) as usize;
+        for slot in coords.iter_mut().take(take) {
+            *slot = match self.phase {
+                AccessPhase::Write => (self.outer, self.inner),
+                AccessPhase::Read => (self.inner, self.outer),
+            };
+            self.inner += 1;
+            if self.inner >= self.n - self.outer {
+                self.inner = 0;
+                self.outer += 1;
+            }
+        }
+        self.remaining -= take as u64;
+        &coords[..take]
     }
 }
 
@@ -101,20 +172,19 @@ impl<'a> TraceGenerator<'a> {
 
     /// Lazily yields the request stream of `phase` in its natural order.
     ///
-    /// The returned [`PhaseTrace`] streams one [`Request`] at a time —
-    /// nothing is materialised, so even the paper's 12.5 M-burst interleaver
-    /// costs O(1) memory, and the DRAM engines consume requests exactly as
-    /// fast as they can retire them (back-pressure through
+    /// The returned [`PhaseTrace`] maps positions a chunk at a time and
+    /// hands out one [`Request`] at a time — the whole trace is never
+    /// materialised, so even the paper's 12.5 M-burst interleaver costs
+    /// O(1) memory, and the DRAM engines consume requests exactly as fast as
+    /// they can retire them (back-pressure through
     /// [`MemorySystem::run_trace`](tbi_dram::MemorySystem::run_trace)).
     #[must_use]
     pub fn requests(&self, phase: AccessPhase) -> PhaseTrace<'a> {
         PhaseTrace {
             mapping: self.mapping,
-            phase,
-            n: self.interleaver.dimension(),
-            outer: 0,
-            inner: 0,
-            remaining: self.interleaver.len(),
+            walk: PositionWalk::new(phase, self.interleaver.dimension()),
+            buffer: Vec::new(),
+            position: 0,
             scratch: AddressBatch::new(),
         }
     }
@@ -131,7 +201,9 @@ impl<'a> TraceGenerator<'a> {
 ///
 /// Produced by [`TraceGenerator::requests`].  Write phases walk the triangle
 /// row-wise and yield [`Request::write`]s; read phases walk it column-wise
-/// and yield [`Request::read`]s.  The iterator is exact-sized and fused.
+/// and yield [`Request::read`]s.  `next` refills an internal chunk through
+/// [`PhaseTrace::fill_batch`], so every position is mapped by the batched
+/// kernel.  The iterator is exact-sized and fused.
 ///
 /// # Examples
 ///
@@ -156,15 +228,12 @@ impl<'a> TraceGenerator<'a> {
 #[derive(Clone)]
 pub struct PhaseTrace<'a> {
     mapping: &'a dyn DramMapping,
-    phase: AccessPhase,
-    n: u32,
-    /// Row index (write phase) or column index (read phase).
-    outer: u32,
-    /// Position within the current row/column, `0..n - outer`.
-    inner: u32,
-    remaining: u64,
+    walk: PositionWalk,
+    /// Requests mapped ahead for `next`, served from `buffer[position..]`.
+    buffer: Vec<Request>,
+    position: usize,
     /// Scratch SoA buffer for [`PhaseTrace::fill_batch`] (reused across
-    /// calls; empty until the batched path is used).
+    /// calls).
     scratch: AddressBatch,
 }
 
@@ -182,39 +251,18 @@ impl PhaseTrace<'_> {
     /// Returns `0` if and only if the trace is exhausted.
     pub fn fill_batch(&mut self, out: &mut Vec<Request>, max: usize) -> usize {
         let before = out.len();
+        // Requests `next` already mapped come first.
+        out.extend_from_slice(&self.buffer[self.position..]);
+        self.position = self.buffer.len();
         let mut coords = [(0u32, 0u32); BATCH_CHUNK];
-        while out.len() - before < max && self.remaining > 0 {
-            let take = self.remaining.min(BATCH_CHUNK as u64) as usize;
-            for slot in coords.iter_mut().take(take) {
-                *slot = match self.phase {
-                    AccessPhase::Write => (self.outer, self.inner),
-                    AccessPhase::Read => (self.inner, self.outer),
-                };
-                self.inner += 1;
-                if self.inner >= self.n - self.outer {
-                    self.inner = 0;
-                    self.outer += 1;
-                }
-            }
-            self.remaining -= take as u64;
+        while out.len() - before < max && self.walk.remaining() > 0 {
+            let chunk = self.walk.next_chunk(&mut coords);
             self.scratch.clear();
-            self.mapping.map_batch(&coords[..take], &mut self.scratch);
-            out.reserve(take);
-            for index in 0..take {
-                let address = self.scratch.address(index);
-                out.push(match self.phase {
-                    AccessPhase::Write => Request::write(address),
-                    AccessPhase::Read => Request::read(address),
-                });
-            }
+            self.mapping.map_batch(chunk, &mut self.scratch);
+            let phase = self.walk.phase();
+            out.extend((0..chunk.len()).map(|index| phase.request(self.scratch.address(index))));
         }
         out.len() - before
-    }
-}
-
-impl RequestSource for PhaseTrace<'_> {
-    fn fill(&mut self, out: &mut Vec<Request>, max: usize) -> usize {
-        self.fill_batch(out, max)
     }
 }
 
@@ -222,9 +270,8 @@ impl std::fmt::Debug for PhaseTrace<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PhaseTrace")
             .field("mapping", &self.mapping.name())
-            .field("phase", &self.phase)
-            .field("n", &self.n)
-            .field("remaining", &self.remaining)
+            .field("walk", &self.walk)
+            .field("buffered", &(self.buffer.len() - self.position))
             .finish()
     }
 }
@@ -233,34 +280,26 @@ impl Iterator for PhaseTrace<'_> {
     type Item = Request;
 
     fn next(&mut self) -> Option<Request> {
-        if self.remaining == 0 {
-            return None;
+        if self.position == self.buffer.len() {
+            let mut buffer = std::mem::take(&mut self.buffer);
+            buffer.clear();
+            self.position = 0;
+            self.fill_batch(&mut buffer, BATCH_CHUNK);
+            self.buffer = buffer;
         }
-        self.remaining -= 1;
-        // Both phases sweep lines of length `n - outer`; they only differ in
-        // which coordinate is the line index.
-        let (i, j) = match self.phase {
-            AccessPhase::Write => (self.outer, self.inner),
-            AccessPhase::Read => (self.inner, self.outer),
-        };
-        self.inner += 1;
-        if self.inner >= self.n - self.outer {
-            self.inner = 0;
-            self.outer += 1;
-        }
-        let address = self.mapping.map(i, j);
-        Some(match self.phase {
-            AccessPhase::Write => Request::write(address),
-            AccessPhase::Read => Request::read(address),
-        })
+        let request = *self.buffer.get(self.position)?;
+        self.position += 1;
+        Some(request)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
+        // Requests left: the ones mapped ahead plus the unmapped positions.
+        let remaining = self.walk.remaining() + (self.buffer.len() - self.position) as u64;
         // On targets where `usize` cannot hold the 64-bit remaining count
         // (paper-sized traces exceed 2^32 positions on 32-bit hosts), report
         // an honest "at least usize::MAX, upper bound unknown" instead of
         // silently saturating both bounds to a wrong exact size.
-        match usize::try_from(self.remaining) {
+        match usize::try_from(remaining) {
             Ok(remaining) => (remaining, Some(remaining)),
             Err(_) => (usize::MAX, None),
         }
@@ -373,6 +412,21 @@ mod tests {
         assert_eq!(trace.size_hint(), (0, Some(0)));
     }
 
+    /// The requests of `phase` by a scalar `DramMapping::map` walk over the
+    /// triangle, sharing no code with `PhaseTrace`.
+    fn scalar_requests(mapping: &dyn DramMapping, n: u32, phase: AccessPhase) -> Vec<Request> {
+        let mut requests = Vec::new();
+        for outer in 0..n {
+            for inner in 0..n - outer {
+                requests.push(match phase {
+                    AccessPhase::Write => Request::write(mapping.map(outer, inner)),
+                    AccessPhase::Read => Request::read(mapping.map(inner, outer)),
+                });
+            }
+        }
+        requests
+    }
+
     #[test]
     fn fill_batch_yields_the_iterator_sequence() {
         let (config, interleaver) = setup(37);
@@ -380,7 +434,9 @@ mod tests {
             let mapping = kind.build(&config, 37).unwrap();
             let gen = TraceGenerator::new(interleaver, mapping.as_ref());
             for phase in AccessPhase::ALL {
-                let scalar: Vec<_> = gen.requests(phase).collect();
+                let scalar = scalar_requests(mapping.as_ref(), 37, phase);
+                let iterated: Vec<_> = gen.requests(phase).collect();
+                assert_eq!(iterated, scalar, "{kind} {phase} iterator");
                 for max in [1usize, 64, 1000] {
                     let mut trace = gen.requests(phase);
                     let mut batched = Vec::new();
@@ -402,7 +458,7 @@ mod tests {
         let (config, interleaver) = setup(29);
         let mapping = MappingKind::Optimized.build(&config, 29).unwrap();
         let gen = TraceGenerator::new(interleaver, mapping.as_ref());
-        let scalar: Vec<_> = gen.requests(AccessPhase::Read).collect();
+        let scalar = scalar_requests(mapping.as_ref(), 29, AccessPhase::Read);
         let mut trace = gen.requests(AccessPhase::Read);
         let mut mixed = Vec::new();
         while mixed.len() < scalar.len() {
@@ -411,9 +467,11 @@ mod tests {
             } else {
                 break;
             }
+            assert_eq!(trace.len(), scalar.len() - mixed.len(), "len stays exact");
             trace.fill_batch(&mut mixed, 10);
         }
         assert_eq!(mixed, scalar);
+        assert!(trace.next().is_none());
     }
 
     #[test]

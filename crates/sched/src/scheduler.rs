@@ -9,8 +9,8 @@
 //! 2. **fills** every channel's free queue slots, asking the active
 //!    [`SchedPolicy`](crate::SchedPolicy) which ready stream feeds each
 //!    slot,
-//! 3. **advances** the laggard channel exactly as
-//!    [`ChannelRouter::run_phase`] does, and
+//! 3. **advances** the laggard channel (the one whose clock is furthest
+//!    behind) until it can accept again, and
 //! 4. **collects** completions from the controllers' observational logs,
 //!    attributing each to its block via per-`(channel, bank)` FIFO tags
 //!    (per-bank service is strictly FIFO under FR-FCFS — only queue heads
@@ -19,9 +19,10 @@
 //!
 //! With a single stream every policy always picks the sole candidate and
 //! serves whole free batches, so the enqueue sequence — and therefore the
-//! DRAM statistics — are bit-identical to
-//! [`ChannelRouter::run_phase_sources`] over the equivalent per-channel
-//! traces.  Tests pin this on both timing engines.
+//! DRAM statistics — are bit-identical to [`ChannelRouter::run_phase`]
+//! over the equivalent per-channel traces: channels share no state, so the
+//! laggard interleaving never changes a channel's own operation sequence.
+//! Tests pin this on both timing engines.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -305,9 +306,10 @@ impl StreamScheduler {
     /// Runs all streams to completion and returns the per-tenant and
     /// combined-DRAM results.
     ///
-    /// The loop structure mirrors [`ChannelRouter::run_phase`]: fill free
-    /// slots in channel order, step the laggard until it can accept again,
-    /// repeat; finally drain every controller.
+    /// Each round fills free slots in channel order and steps the laggard
+    /// channel until it can accept again; finally every controller drains.
+    /// Per channel this is the same fill/step/drain sequence as
+    /// [`ChannelRouter::run_phase`].
     #[must_use]
     pub fn run(mut self) -> SchedReport {
         loop {

@@ -27,8 +27,8 @@ fn ctrl(engine: TimingEngine) -> ControllerConfig {
     }
 }
 
-/// Reference statistics: the pre-existing single-tenant driver
-/// (`run_phase_sources` over per-channel traces).
+/// Reference statistics: the single-tenant phase drive (`run_phase` over
+/// per-channel traces).
 fn reference_stats(
     config: &DramConfig,
     ctrl: ControllerConfig,
@@ -42,11 +42,11 @@ fn reference_stats(
     let traces: Vec<_> = (0..router.channels())
         .map(|channel| generator.channel_requests(phase, channel))
         .collect();
-    router.run_phase_sources(traces)
+    router.run_phase(traces)
 }
 
 #[test]
-fn single_stream_is_bit_identical_to_run_phase_sources() {
+fn single_stream_is_bit_identical_to_run_phase() {
     let spec = InterleaverSpec::from_burst_count(3_000);
     let config = config(2, 1);
     for engine in [TimingEngine::Cycle, TimingEngine::Event] {
@@ -230,9 +230,9 @@ fn threaded_drive_preserves_per_channel_completion_log_order() {
             .map(|channel| generator.channel_requests(AccessPhase::Write, channel))
             .collect();
         let stats = if threads == 0 {
-            router.run_phase_sources(traces)
+            router.run_phase(traces)
         } else {
-            router.run_phase_sources_threaded(traces, threads)
+            router.run_phase_threaded(traces, threads)
         };
         let logs: Vec<Vec<tbi_dram::Completion>> = (0..router.channels())
             .map(|channel| router.controller_mut(channel).drain_completions().collect())

@@ -61,9 +61,9 @@ pub use tbi_exp::{
     SearchSettings, SweepGrid,
 };
 pub use tbi_interleaver::{
-    AccessPhase, BlockInterleaver, ChannelMapping, ChannelUtilizationReport, DramMapping,
-    InterleaverSpec, MappingKind, OptimizedMapping, RowMajorMapping, ThroughputEvaluator,
-    TileOrder, TraceGenerator, TriangularInterleaver, TwoStageInterleaver, UtilizationReport,
+    AccessPhase, BlockInterleaver, ChannelMapping, DramMapping, InterleaverSpec, MappingKind,
+    OptimizedMapping, RowMajorMapping, ThroughputEvaluator, TileOrder, TraceGenerator,
+    TriangularInterleaver, TwoStageInterleaver, UtilizationReport,
 };
 pub use tbi_satcom::{
     BandwidthBudget, CoherenceFading, GilbertElliott, LinkConfig, LinkProfile, LinkReport,

@@ -8,7 +8,7 @@
 //!
 //! * identical [`Record`]s for every Table I preset at a reduced burst count
 //!   (both mappings, default refresh — the exact sweep behind Table I);
-//! * identical raw [`tbi::Stats`] (including diagnostic counters such as
+//! * identical raw per-channel [`tbi::Stats`] (including diagnostic counters such as
 //!   `stall_cycles`) for a write-then-read phase pair, where any divergence
 //!   in absolute time would shift refresh deadlines and show up;
 //! * identical stats under every refresh mode and scheduling/page-policy
@@ -61,7 +61,7 @@ fn phase_stats(
     rate: u32,
     mapping: MappingKind,
     ctrl: ControllerConfig,
-) -> (tbi::Stats, tbi::Stats) {
+) -> (tbi::CombinedStats, tbi::CombinedStats) {
     let dram = DramConfig::preset(standard, rate).expect("preset exists");
     let evaluator = ThroughputEvaluator::with_controller(
         dram,

@@ -16,13 +16,13 @@ fn every_mapping_completes_every_request_on_every_preset() {
             let evaluator = ThroughputEvaluator::new(dram.clone(), spec);
             let report = evaluator.evaluate(kind).unwrap();
             assert_eq!(
-                report.write.stats.completed_requests,
+                report.write.stats.aggregate().completed_requests,
                 spec.total_positions(),
                 "{kind} write on {}",
                 dram.label()
             );
             assert_eq!(
-                report.read.stats.completed_requests,
+                report.read.stats.aggregate().completed_requests,
                 spec.total_positions(),
                 "{kind} read on {}",
                 dram.label()
@@ -38,7 +38,8 @@ fn optimized_mapping_never_loses_to_row_major_on_the_limiting_phase() {
     for (standard, rate) in tbi::dram::standards::ALL_CONFIGS {
         let dram = DramConfig::preset(*standard, *rate).unwrap();
         let evaluator = ThroughputEvaluator::new(dram.clone(), spec);
-        let (row_major, optimized) = evaluator.evaluate_table1_pair().unwrap();
+        let row_major = evaluator.evaluate(MappingKind::RowMajor).unwrap();
+        let optimized = evaluator.evaluate(MappingKind::Optimized).unwrap();
         assert!(
             optimized.min_utilization() >= row_major.min_utilization() * 0.98,
             "{}: optimized {} vs row-major {}",

@@ -6,7 +6,7 @@ use tbi::satcom::channel::SymbolChannel;
 use tbi::satcom::link::{interleaving_gain, InterleaverChoice, LinkConfig};
 use tbi::{
     BandwidthBudget, CoherenceFading, DramConfig, DramStandard, GilbertElliott, InterleaverSpec,
-    ReedSolomon, ThroughputEvaluator, TwoStageInterleaver,
+    MappingKind, ReedSolomon, ThroughputEvaluator, TwoStageInterleaver,
 };
 
 #[test]
@@ -103,7 +103,8 @@ fn dram_utilization_feeds_the_link_budget() {
     let dram = DramConfig::preset(DramStandard::Lpddr5, 8533).unwrap();
     let evaluator =
         ThroughputEvaluator::new(dram.clone(), InterleaverSpec::from_burst_count(30_000));
-    let (row_major, optimized) = evaluator.evaluate_table1_pair().unwrap();
+    let row_major = evaluator.evaluate(MappingKind::RowMajor).unwrap();
+    let optimized = evaluator.evaluate(MappingKind::Optimized).unwrap();
 
     let max_rate_row_major =
         BandwidthBudget::max_line_rate_gbps(&dram, row_major.min_utilization());
