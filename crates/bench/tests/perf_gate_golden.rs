@@ -12,10 +12,10 @@
 //!    TBI_BLESS_GOLDEN=1 cargo test -p tbi_bench --test perf_gate_golden
 //!    ```
 //!
-//! 2. **End-to-end injected regression** — the `perf_gate` binary runs
-//!    against a committed synthetic artifact whose baseline metric is
-//!    impossibly good; the gate must exit non-zero and name the failing
-//!    metric.  A companion artifact with a modest baseline must pass.
+//! 2. **End-to-end injected regression** — `tbi_bench gate` runs against a
+//!    committed synthetic artifact whose baseline metric is impossibly good;
+//!    the gate must exit non-zero and name the failing metric.  A companion
+//!    artifact with a modest baseline must pass.
 
 use std::path::Path;
 use std::process::Command;
@@ -137,18 +137,19 @@ fn degenerate_min_ratio_baselines_fail_cleanly_and_match_the_golden_report() {
     );
 }
 
-/// Runs the `perf_gate` binary on one committed artifact fixture at a tiny
-/// re-run size, returning (exit success, stdout).
+/// Runs `tbi_bench gate` on one committed artifact fixture at a tiny re-run
+/// size, returning (exit success, stdout).
 fn run_gate(fixture: &str) -> (bool, String) {
     let artifact = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(fixture);
-    let output = Command::new(env!("CARGO_BIN_EXE_perf_gate"))
+    let output = Command::new(env!("CARGO_BIN_EXE_tbi_bench"))
+        .arg("gate")
         .arg("--bursts")
         .arg("4000")
         .arg(&artifact)
         .output()
-        .expect("perf_gate binary runs");
+        .expect("tbi_bench binary runs");
     (
         output.status.success(),
         String::from_utf8_lossy(&output.stdout).into_owned(),
