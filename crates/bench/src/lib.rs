@@ -70,16 +70,6 @@ pub enum Flag {
     Budget,
     /// `--neighbors <n>`: mapping-search candidates per step.
     Neighbors,
-    /// `--strategy <s>`: mapping-search algorithm.
-    Strategy,
-    /// `--surrogate <n>`: portfolio surrogate divisor.
-    Surrogate,
-    /// `--promote <k>`: portfolio candidates promoted per surrogate batch.
-    Promote,
-    /// `--sa-temp <n>`: portfolio annealing temperature.
-    SaTemp,
-    /// `--transfer`: portfolio cross-preset seeding.
-    Transfer,
     /// Positional `[a|b|c|d|all] [rows cols]`: the Figure 1 panel and grid
     /// corner size.
     Panel,
@@ -89,7 +79,7 @@ pub enum Flag {
 
 impl Flag {
     /// Every flag, in usage order.
-    pub const ALL: [Flag; 21] = [
+    pub const ALL: [Flag; 16] = [
         Flag::Full,
         Flag::Bursts,
         Flag::NoRefresh,
@@ -104,11 +94,6 @@ impl Flag {
         Flag::Restarts,
         Flag::Budget,
         Flag::Neighbors,
-        Flag::Strategy,
-        Flag::Surrogate,
-        Flag::Promote,
-        Flag::SaTemp,
-        Flag::Transfer,
         Flag::Panel,
         Flag::Artifacts,
     ];
@@ -131,11 +116,6 @@ impl Flag {
             Flag::Restarts => "--restarts",
             Flag::Budget => "--budget",
             Flag::Neighbors => "--neighbors",
-            Flag::Strategy => "--strategy",
-            Flag::Surrogate => "--surrogate",
-            Flag::Promote => "--promote",
-            Flag::SaTemp => "--sa-temp",
-            Flag::Transfer => "--transfer",
             Flag::Panel | Flag::Artifacts => return None,
         })
     }
@@ -190,35 +170,15 @@ impl Flag {
             ),
             Flag::Restarts => (
                 "--restarts <n>",
-                "hill-climb starting points per preset (default 4)".to_string(),
+                "climb starting points per preset (default 4)".to_string(),
             ),
             Flag::Budget => (
                 "--budget <n>",
-                "full-size candidate evaluations per preset (default 400)".to_string(),
+                "candidate evaluations per preset (default 400)".to_string(),
             ),
             Flag::Neighbors => (
                 "--neighbors <n>",
                 "candidates per climb step (default 8)".to_string(),
-            ),
-            Flag::Strategy => (
-                "--strategy <s>",
-                "greedy | portfolio (default greedy)".to_string(),
-            ),
-            Flag::Surrogate => (
-                "--surrogate <n>",
-                "portfolio: pre-screen at bursts/n; 0 disables (default 0)".to_string(),
-            ),
-            Flag::Promote => (
-                "--promote <k>",
-                "portfolio: candidates promoted per surrogate batch (default 2)".to_string(),
-            ),
-            Flag::SaTemp => (
-                "--sa-temp <n>",
-                "portfolio: initial annealing temperature in 1e-6 units (default 150)".to_string(),
-            ),
-            Flag::Transfer => (
-                "--transfer",
-                "portfolio: seed each preset with earlier presets' winners".to_string(),
             ),
             Flag::Panel => (
                 "[a|b|c|d|all] [rows cols]",
@@ -255,10 +215,9 @@ pub struct HarnessOptions {
     pub channels: u32,
     /// Ranks per channel (1 = the paper's device).
     pub ranks: u32,
-    /// Mapping-search settings (`--seed`, `--restarts`, `--budget`, ...).
+    /// Mapping-search settings (`--seed`, `--restarts`, `--budget`,
+    /// `--neighbors`).
     pub search: SearchSettings,
-    /// Mapping search: seed each preset with earlier presets' winners.
-    pub transfer: bool,
     /// Figure 1 panel: `a`–`d` or `all`.
     pub panel: String,
     /// Figure 1 grid corner size as `(rows, cols)`.
@@ -312,7 +271,6 @@ impl HarnessOptions {
                 seed: 0,
                 ..SearchSettings::default()
             },
-            transfer: false,
             panel: "all".to_string(),
             grid: (8, 8),
             artifacts: Vec::new(),
@@ -376,7 +334,6 @@ impl HarnessOptions {
         match flag {
             Flag::Full => self.bursts = 12_500_000,
             Flag::NoRefresh => self.no_refresh = true,
-            Flag::Transfer => self.transfer = true,
             Flag::Bursts => {
                 self.bursts = number_of(&value_of(iter, arg)?, "burst count")?;
                 if self.bursts == 0 {
@@ -439,15 +396,6 @@ impl HarnessOptions {
             Flag::Restarts => self.search.restarts = positive_u32(&value_of(iter, arg)?, arg)?,
             Flag::Budget => self.search.budget = positive_u32(&value_of(iter, arg)?, arg)?,
             Flag::Neighbors => self.search.neighbors = positive_u32(&value_of(iter, arg)?, arg)?,
-            Flag::Promote => self.search.promote = positive_u32(&value_of(iter, arg)?, arg)?,
-            Flag::Surrogate => {
-                self.search.surrogate_divisor =
-                    number_of(&value_of(iter, arg)?, "--surrogate value")?;
-            }
-            Flag::SaTemp => {
-                self.search.sa_temp_micro = number_of(&value_of(iter, arg)?, "--sa-temp value")?;
-            }
-            Flag::Strategy => self.search.strategy = value_of(iter, arg)?.parse()?,
             Flag::Panel | Flag::Artifacts => unreachable!("positionals have no flag name"),
         }
         Ok(())
@@ -640,7 +588,6 @@ pub fn build_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tbi_exp::search::SearchStrategy;
 
     /// Parses `args` against the full Table I flag set.
     fn parse(args: &[&str]) -> Result<HarnessOptions, String> {
@@ -765,7 +712,6 @@ mod tests {
             (Table1, &["--channels"]),
             (Table1, &["--ranks"]),
             (MappingSearch, &["--seed"]),
-            (MappingSearch, &["--strategy"]),
             // Unknown flags, including near-misses.
             (Table1, &["--nope"]),
             (Table1, &["--burst", "100"]),
@@ -788,8 +734,13 @@ mod tests {
             (Table1, &["--channels", "x"]),
             (MappingSearch, &["--restarts", "0"]),
             (MappingSearch, &["--budget", "99999999999"]),
-            (MappingSearch, &["--strategy", "random"]),
-            (MappingSearch, &["--sa-temp", "-5"]),
+            // Flags of the removed search knobs are unknown, so a stale
+            // regeneration command stops instead of running another search.
+            (MappingSearch, &["--strategy", "portfolio"]),
+            (MappingSearch, &["--surrogate", "4"]),
+            (MappingSearch, &["--promote", "2"]),
+            (MappingSearch, &["--sa-temp", "150"]),
+            (MappingSearch, &["--transfer"]),
             // Figure 1 positionals: unknown panel, malformed grid sizes
             // (which used to fall back to 8 silently) and extra arguments.
             (Fig1, &["e"]),
@@ -805,6 +756,22 @@ mod tests {
             let outcome = result.unwrap_or_else(|_| panic!("{case:?} panicked"));
             let err = outcome.expect_err(&format!("{case:?} should be rejected"));
             assert!(!err.is_empty(), "{case:?} produced an empty error message");
+        }
+    }
+
+    #[test]
+    fn removed_search_knobs_are_unknown_options() {
+        for case in [
+            &["--strategy", "portfolio"][..],
+            &["--surrogate", "4"],
+            &["--promote", "2"],
+            &["--sa-temp", "150"],
+            &["--transfer"],
+        ] {
+            let err = Workload::MappingSearch
+                .parse_options(case.iter().map(|s| (*s).to_string()))
+                .expect_err(&format!("{case:?} should be rejected"));
+            assert_eq!(err, format!("unknown option `{}`", case[0]));
         }
     }
 
@@ -844,28 +811,24 @@ mod tests {
         let options = Workload::MappingSearch
             .parse_options(
                 [
-                    "--strategy",
-                    "portfolio",
                     "--seed",
                     "7",
                     "--restarts",
                     "8",
                     "--budget",
                     "80",
-                    "--sa-temp",
-                    "0",
-                    "--transfer",
+                    "--neighbors",
+                    "6",
                     "--no-refresh",
                 ]
                 .map(String::from),
             )
             .unwrap();
-        assert_eq!(options.search.strategy, SearchStrategy::Portfolio);
         assert_eq!(options.search.seed, 7);
         assert_eq!(options.search.restarts, 8);
         assert_eq!(options.search.budget, 80);
-        assert_eq!(options.search.sa_temp_micro, 0);
-        assert!(options.transfer && options.no_refresh);
+        assert_eq!(options.search.neighbors, 6);
+        assert!(options.no_refresh);
         // Without flags the search runs from seed 0, not the library default.
         assert_eq!(HarnessOptions::new().search.seed, 0);
     }

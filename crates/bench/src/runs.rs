@@ -7,13 +7,11 @@ use std::time::Instant;
 use tbi_dram::standards::ALL_CONFIGS;
 use tbi_dram::{
     AddressBatch, BitPermutation, ChannelTopology, DramConfig, DramConfigBuilder, DramStandard,
-    PermutationMapping, PhysicalAddress, TimingEngine, XorFold,
+    PermutationMapping, PhysicalAddress, TimingEngine,
 };
 use tbi_exp::campaign::{DEFAULT_CAMPAIGN_SEED, DEFAULT_CODE_RATES, DEFAULT_DEPTHS};
 use tbi_exp::json::JsonValue;
-use tbi_exp::search::{
-    MappingSearch, SearchRecord, SearchSettings, SearchStrategy, MATCH_TOLERANCE,
-};
+use tbi_exp::search::{MappingSearch, SearchRecord, SearchSettings, MATCH_TOLERANCE};
 use tbi_exp::serialize::{
     json_number, json_string, records_to_csv, records_to_json, search_records_to_csv,
     search_records_to_json,
@@ -456,45 +454,30 @@ fn committed_u64(committed: &JsonValue, key: &str) -> Result<u64, String> {
     Ok(n as u64)
 }
 
-/// Reads a `u32` setting from a committed artifact, falling back to
-/// `default` when the key is absent and a default is given (settings added
-/// after the artifact's generation).
-fn committed_u32(committed: &JsonValue, key: &str, default: Option<u32>) -> Result<u32, String> {
-    match (committed.get(key), default) {
-        (None, Some(default)) => Ok(default),
-        _ => u32::try_from(committed_u64(committed, key)?)
-            .map_err(|_| format!("committed `{key}` out of range")),
-    }
+/// Reads a `u32` setting from a committed artifact (see
+/// [`committed_u64`]), failing naming `key` if it does not fit.
+fn committed_u32(committed: &JsonValue, key: &str) -> Result<u32, String> {
+    u32::try_from(committed_u64(committed, key)?)
+        .map_err(|_| format!("committed `{key}` out of range"))
 }
 
 /// The search the committed `BENCH_dse.json` ran: its settings (with the
-/// budget capped at [`GATE_SEARCH_BUDGET`]), its transfer flag and its
-/// refresh condition.  Portfolio keys default to the values a greedy-era
-/// artifact implies, so both artifact generations replay.
-pub(crate) fn replay_search(committed: &JsonValue) -> Result<(SearchSettings, bool, bool), String> {
-    let strategy = match committed.get("strategy") {
-        None => SearchStrategy::Greedy,
-        Some(JsonValue::String(s)) => s.parse::<SearchStrategy>()?,
-        Some(_) => return Err("committed `strategy` is not a string".to_string()),
-    };
-    let flag = |key: &str| match committed.get(key) {
-        None => Ok(false),
-        Some(value) => value
-            .as_bool()
-            .ok_or_else(|| format!("committed `{key}` is not a boolean")),
-    };
+/// budget capped at [`GATE_SEARCH_BUDGET`]) and its refresh condition.
+pub(crate) fn replay_search(committed: &JsonValue) -> Result<(SearchSettings, bool), String> {
     let settings = SearchSettings {
         seed: committed_u64(committed, "seed")?,
-        restarts: committed_u32(committed, "restarts", None)?,
-        budget: committed_u32(committed, "budget", None)?.min(GATE_SEARCH_BUDGET),
-        neighbors: committed_u32(committed, "neighbors", None)?,
+        restarts: committed_u32(committed, "restarts")?,
+        budget: committed_u32(committed, "budget")?.min(GATE_SEARCH_BUDGET),
+        neighbors: committed_u32(committed, "neighbors")?,
         workers: 0,
-        strategy,
-        surrogate_divisor: committed_u32(committed, "surrogate_divisor", Some(0))?,
-        promote: committed_u32(committed, "promote", Some(2))?,
-        sa_temp_micro: committed_u32(committed, "sa_temp_micro", Some(150))?,
     };
-    Ok((settings, flag("transfer")?, flag("refresh_disabled")?))
+    let no_refresh = match committed.get("refresh_disabled") {
+        None => false,
+        Some(value) => value
+            .as_bool()
+            .ok_or("committed `refresh_disabled` is not a boolean")?,
+    };
+    Ok((settings, no_refresh))
 }
 
 /// Mapping design-space exploration on every Table I preset, against the
@@ -504,9 +487,9 @@ pub(crate) fn mapping_search(
     options: &HarnessOptions,
     committed: Option<&JsonValue>,
 ) -> Result<Document, String> {
-    let (settings, transfer, no_refresh) = match committed {
+    let (settings, no_refresh) = match committed {
         Some(committed) => replay_search(committed)?,
-        None => (options.search, options.transfer, options.no_refresh),
+        None => (options.search, options.no_refresh),
     };
     let settings = SearchSettings {
         workers: options.workers,
@@ -520,15 +503,13 @@ pub(crate) fn mapping_search(
     let spec = InterleaverSpec::from_burst_count(options.bursts);
     eprintln!(
         "mapping_search: {} presets x {} evaluations at {} bursts \
-         (seed {}, {} restarts, {} neighbors/step, {} strategy{})",
+         (seed {}, {} restarts, {} neighbors/step)",
         ALL_CONFIGS.len(),
         settings.budget,
         options.bursts,
         settings.seed,
         settings.restarts,
         settings.neighbors,
-        settings.strategy,
-        if transfer { ", transfer on" } else { "" },
     );
 
     let mut table = vec![format!(
@@ -536,14 +517,11 @@ pub(crate) fn mapping_search(
         "config", "evals", "moves", "dse hit", "paper hit", "gain", "dse util", "paper util",
     )];
     let mut records: Vec<SearchRecord> = Vec::with_capacity(ALL_CONFIGS.len());
-    let mut seeds: Vec<(BitPermutation, XorFold)> = Vec::new();
     for (standard, rate) in ALL_CONFIGS {
-        let mut search = MappingSearch::new(preset(*standard, *rate)?, spec, settings)
-            .with_controller(controller);
-        if transfer {
-            search = search.with_transfer_seeds(&seeds);
-        }
-        let record = search.run().map_err(text)?;
+        let record = MappingSearch::new(preset(*standard, *rate)?, spec, settings)
+            .with_controller(controller)
+            .run()
+            .map_err(text)?;
         eprintln!(
             "  {}: row-hit gain {:.6}x",
             record.dram_label,
@@ -565,18 +543,6 @@ pub(crate) fn mapping_search(
                 &record.fold
             },
         ));
-        if transfer {
-            // Carry this preset's winner forward; incompatible geometries
-            // are filtered at the receiving search's start time.
-            if let (Ok(permutation), Ok(fold)) = (
-                record.permutation.parse::<BitPermutation>(),
-                record.fold.parse::<XorFold>(),
-            ) {
-                if !seeds.contains(&(permutation, fold)) {
-                    seeds.push((permutation, fold));
-                }
-            }
-        }
         records.push(record);
     }
 
@@ -601,9 +567,7 @@ pub(crate) fn mapping_search(
 
     let json = format!(
         "{{\n  \"bench\": {},\n  \"bursts\": {},\n  \"seed\": {},\n  \"restarts\": {},\n  \
-         \"budget\": {},\n  \"neighbors\": {},\n  \"strategy\": {},\n  \
-         \"surrogate_divisor\": {},\n  \"promote\": {},\n  \"sa_temp_micro\": {},\n  \
-         \"transfer\": {},\n  \"presets\": {},\n  \
+         \"budget\": {},\n  \"neighbors\": {},\n  \"presets\": {},\n  \
          \"refresh_disabled\": {},\n  \"match_tolerance\": {},\n  \
          \"all_match_or_beat_optimized\": {},\n  \"all_beat_optimized\": {},\n  \
          \"min_row_hit_gain\": {},\n  \
@@ -614,11 +578,6 @@ pub(crate) fn mapping_search(
         settings.restarts,
         settings.budget,
         settings.neighbors,
-        json_string(&settings.strategy.to_string()),
-        settings.surrogate_divisor,
-        settings.promote,
-        settings.sa_temp_micro,
-        transfer,
         records.len(),
         no_refresh,
         json_number(MATCH_TOLERANCE),
@@ -1299,7 +1258,7 @@ pub(crate) fn campaign_sweep(
     let (seed, trials) = match committed {
         Some(committed) => (
             committed_u64(committed, "seed")?,
-            committed_u32(committed, "trials", None)?,
+            committed_u32(committed, "trials")?,
         ),
         None => (DEFAULT_CAMPAIGN_SEED, CAMPAIGN_TRIALS),
     };
@@ -1439,16 +1398,11 @@ mod tests {
     use tbi_exp::json::parse;
 
     /// The settings header of the committed `BENCH_dse.json`.
-    const DSE_FIELDS: [(&str, &str); 10] = [
+    const DSE_FIELDS: [(&str, &str); 5] = [
         ("seed", "0"),
         ("restarts", "8"),
         ("budget", "80"),
         ("neighbors", "8"),
-        ("strategy", "\"portfolio\""),
-        ("surrogate_divisor", "0"),
-        ("promote", "2"),
-        ("sa_temp_micro", "150"),
-        ("transfer", "false"),
         ("refresh_disabled", "true"),
     ];
 
@@ -1463,15 +1417,16 @@ mod tests {
 
     #[test]
     fn replay_search_reads_the_committed_settings() {
-        let (settings, transfer, no_refresh) = replay_search(&dse_with("", "")).unwrap();
+        let (settings, no_refresh) = replay_search(&dse_with("", "")).unwrap();
         assert_eq!(settings.seed, 0);
         assert_eq!(settings.restarts, 8);
         assert_eq!(settings.budget, 80);
-        assert_eq!(settings.strategy, SearchStrategy::Portfolio);
-        assert!(!transfer);
+        assert_eq!(settings.neighbors, 8);
         assert!(no_refresh);
-        let (settings, _, _) = replay_search(&dse_with("budget", "400")).unwrap();
+        let (settings, _) = replay_search(&dse_with("budget", "400")).unwrap();
         assert_eq!(settings.budget, GATE_SEARCH_BUDGET);
+        let err = replay_search(&dse_with("refresh_disabled", "1")).unwrap_err();
+        assert!(err.contains("`refresh_disabled`"), "{err}");
     }
 
     /// Every committed integer setting goes through the exact-integer check:
@@ -1480,9 +1435,9 @@ mod tests {
     #[test]
     fn committed_search_settings_must_be_exact_integers() {
         for (key, bad) in [
-            ("promote", "2.7"),
-            ("sa_temp_micro", "-5"),
-            ("surrogate_divisor", "1.5"),
+            ("restarts", "2.7"),
+            ("budget", "-5"),
+            ("neighbors", "1.5"),
             ("seed", "0.5"),
         ] {
             let err = replay_search(&dse_with(key, bad)).unwrap_err();
@@ -1491,12 +1446,11 @@ mod tests {
     }
 
     #[test]
-    fn committed_u32_defaults_only_absent_keys() {
-        let doc = parse(r#"{"promote": 3, "trials": 5000000000}"#).unwrap();
-        assert_eq!(committed_u32(&doc, "promote", Some(2)), Ok(3));
-        assert_eq!(committed_u32(&doc, "missing", Some(2)), Ok(2));
-        assert!(committed_u32(&doc, "missing", None).is_err());
-        assert!(committed_u32(&doc, "trials", None)
+    fn committed_u32_rejects_missing_and_out_of_range_keys() {
+        let doc = parse(r#"{"restarts": 3, "trials": 5000000000}"#).unwrap();
+        assert_eq!(committed_u32(&doc, "restarts"), Ok(3));
+        assert!(committed_u32(&doc, "missing").is_err());
+        assert!(committed_u32(&doc, "trials")
             .unwrap_err()
             .contains("out of range"));
     }

@@ -25,9 +25,9 @@
 //!   code rate × mapping × device preset under a shared time-varying
 //!   [`LinkProfile`](tbi_satcom::LinkProfile) pass, reduced to per-preset
 //!   post-FEC BER vs aggregate-bandwidth frontiers ([`campaign`]);
-//! * [`MappingSearch`] — design-space exploration over bit-permutation
-//!   address mappings: a seeded greedy bit-swap hill-climb with random
-//!   restarts that *generates* mapping configurations instead of evaluating
+//! * [`MappingSearch`] — design-space exploration over free-shape tilings
+//!   and folded bit-permutation address mappings: a seeded, annealed
+//!   search that *generates* mapping configurations instead of evaluating
 //!   fixed ones ([`search`]).
 //!
 //! ## Quick start
@@ -73,7 +73,7 @@ pub use grid::{RefreshSetting, SweepGrid};
 pub use record::{LinkRecord, Record, TenantLatency, TenantSummary};
 pub use runner::Experiment;
 pub use scenario::{LinkStage, Scenario, TenantStage};
-pub use search::{MappingSearch, SearchRecord, SearchSettings, SearchStrategy};
+pub use search::{MappingSearch, SearchRecord, SearchSettings};
 
 use tbi_dram::ConfigError;
 use tbi_interleaver::InterleaverError;

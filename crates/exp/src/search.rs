@@ -1,79 +1,65 @@
-//! Design-space exploration over bit-permutation address mappings.
+//! Design-space exploration over address mappings.
 //!
 //! The paper hand-picks one optimized mapping; this module treats the
 //! mapping as a **searchable space** instead, in the spirit of the
-//! interleaver-DSE literature (Chavet et al.; SAGE): a [`MappingSearch`]
-//! explores the design space for one DRAM configuration with one of two
-//! [`SearchStrategy`]s:
+//! interleaver-DSE literature (Chavet et al.; SAGE).  A [`MappingSearch`]
+//! explores the design space of one DRAM configuration over **hybrid
+//! candidates** `(BitPermutation, XorFold)`, reaching the XOR/ADD-folded
+//! diagonal forms pure permutations cannot express (the paper's
+//! `bank = (tile_i + tile_j) mod banks` term), plus the free-shape tilings:
 //!
-//! - [`SearchStrategy::Greedy`] — the original *seeded greedy bit-swap
-//!   hill-climb with random restarts* over pure [`BitPermutation`]s:
-//!
-//!   1. every restart starts from a deterministic point — a balanced
-//!      tiling heuristic, the controller's default decode chain, or a
-//!      seeded random shuffle of the address bits;
-//!   2. each step proposes a batch of bit-swap neighbours (two
-//!      linear-address bits exchange their fields), evaluates them in
-//!      parallel through the existing [`Experiment`] worker pool, and
-//!      greedily moves to the best strictly-improving neighbour;
-//!   3. when no neighbour improves, the climb restarts from the next start
-//!      until the evaluation [`budget`](SearchSettings::budget) is
-//!      exhausted.
-//!
-//! - [`SearchStrategy::Portfolio`] — a wider search over **hybrid
-//!   candidates** `(BitPermutation, XorFold)`, reaching the XOR/ADD-folded
-//!   diagonal forms pure permutations cannot express (the paper's
-//!   `bank = (tile_i + tile_j) mod banks` term):
-//!
-//!   1. the deterministic start portfolio adds two *diagonal-fold* starts
-//!      (the balanced tiling with a `bank ^= row` / `bank += row` step) and
-//!      any [transfer seeds](MappingSearch::with_transfer_seeds) carried
-//!      over from sibling presets, then alternates evolutionary restarts
-//!      (mutated elite members) with seeded random shuffles;
-//!   2. neighbourhood moves mix bit swaps with fold mutations (append,
-//!      drop, or replace one [`FoldStep`]);
-//!   3. a non-improving batch winner can still be **accepted** with
-//!      simulated-annealing probability `exp(Δ/T)` (temperature
-//!      [`sa_temp_micro`](SearchSettings::sa_temp_micro) × 10⁻⁶, cooled
-//!      geometrically), so climbs tunnel through boundary-loss plateaus;
-//!   4. with a [`surrogate_divisor`](SearchSettings::surrogate_divisor),
-//!      every batch is pre-screened at `bursts / divisor` and only the top
-//!      [`promote`](SearchSettings::promote) candidates graduate to a
-//!      full-size evaluation — surrogate runs are reported separately and
-//!      do not consume the budget;
-//!   5. before the annealed climbs, a deterministic **free-shape tile
-//!      sweep** evaluates the best `tile_h × tile_w ≤ page`
-//!      [`MappingKind::GeneralTiled`] layouts (edges need not be powers of
-//!      two — the family beyond every bit-sliced layout, and the only one
-//!      that strictly beats the paper's optimized scheme on odd-`log₂(page)`
-//!      devices such as DDR3); the best tiling competes with the hybrid
-//!      winner for the reported record.
+//! 1. a deterministic **free-shape tile sweep** first evaluates the best
+//!    `tile_h × tile_w ≤ page` [`MappingKind::GeneralTiled`] layouts (edges
+//!    need not be powers of two — the family beyond every bit-sliced
+//!    layout, and the only one that strictly beats the paper's optimized
+//!    scheme on odd-`log₂(page)` devices such as DDR3); the best tiling
+//!    competes with the hybrid winner for the reported record;
+//! 2. every climb starts from a deterministic portfolio — the balanced
+//!    tiling heuristic and its mirror, the controller's default decode
+//!    chain, two *diagonal-fold* starts (the balanced tiling with a
+//!    `bank ^= row` / `bank += row` step) and three optimized-mimic
+//!    tilings — then alternates evolutionary restarts (mutated elite
+//!    members) with seeded random shuffles;
+//! 3. each step proposes a batch of neighbours mixing bit swaps (two
+//!    linear-address bits exchange their fields) with fold mutations
+//!    (append, drop, or replace one [`FoldStep`]) and evaluates them in
+//!    parallel through the existing [`Experiment`] worker pool;
+//! 4. the batch winner is accepted when it improves on the current point,
+//!    and a non-improving winner still with simulated-annealing probability
+//!    `exp(Δ/T)` (initial temperature `T = 1.5 × 10⁻⁴` of round-trip
+//!    row-hit rate, cooled by 15 % per step), so climbs tunnel through
+//!    boundary-loss plateaus; three rejections in a row freeze the climb
+//!    and the next start takes over until the evaluation
+//!    [`budget`](SearchSettings::budget) is exhausted.
 //!
 //! Candidates are scored by **round-trip row-hit rate** (mean of the write-
 //! and read-phase hit rates) with the throughput-limiting minimum
 //! utilization as tie-breaker — the two quantities the paper's Table I
 //! optimizes by hand.  All decisions depend only on deterministic
 //! [`Record`]s and a [`StdRng`] derived from the seed, so a search is
-//! **bit-reproducible for a fixed seed at any worker count** under either
-//! strategy.  The evaluation cache is keyed on the **full scenario
-//! fingerprint** (standard, topology, engine, refresh, burst count, …), not
-//! the candidate alone, so surrogate- and full-size evaluations of the same
-//! candidate never alias.
+//! **bit-reproducible for a fixed seed at any worker count**.  The
+//! evaluation cache is keyed on the **full scenario fingerprint**
+//! (standard, topology, engine, refresh, burst count, …), not the candidate
+//! alone.
+//!
+//! The winner's label replays as an ordinary [`Scenario`], whichever family
+//! won:
 //!
 //! ```
 //! use tbi_dram::{DramConfig, DramStandard};
 //! use tbi_exp::search::{MappingSearch, SearchSettings};
-//! use tbi_interleaver::InterleaverSpec;
+//! use tbi_exp::Scenario;
+//! use tbi_interleaver::{InterleaverSpec, MappingKind};
 //!
 //! # fn main() -> Result<(), tbi_exp::ExpError> {
 //! let dram = DramConfig::preset(DramStandard::Ddr4, 3200)?;
+//! let spec = InterleaverSpec::from_burst_count(4_000);
 //! let settings = SearchSettings { budget: 12, restarts: 2, ..SearchSettings::default() };
-//! let search = MappingSearch::new(dram, InterleaverSpec::from_burst_count(4_000), settings);
-//! let outcome = search.run()?;
-//! // The climb can only improve on its deterministic starting points, and
-//! // the balanced-tiling start already splits page misses between phases.
+//! let outcome = MappingSearch::new(dram.clone(), spec, settings).run()?;
+//! // The balanced-tiling start already splits page misses between phases.
 //! assert!(outcome.discovered_row_hit_rate() > 0.5);
-//! assert_eq!(outcome.permutation, outcome.best.mapping.trim_start_matches("permutation:"));
+//! let winner = MappingKind::parse_label(&outcome.best.mapping)?;
+//! assert_eq!(Scenario::custom(dram, winner, spec).run()?, outcome.best);
 //! # Ok(())
 //! # }
 //! ```
@@ -95,40 +81,10 @@ use crate::runner::Experiment;
 use crate::scenario::Scenario;
 use crate::ExpError;
 
-/// Which search algorithm a [`MappingSearch`] runs (see the [module
-/// documentation](self) for both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SearchStrategy {
-    /// Greedy bit-swap hill-climb over pure permutations (the original
-    /// algorithm; restarts on the first non-improving batch).
-    #[default]
-    Greedy,
-    /// Hybrid `(permutation, fold)` search with simulated annealing,
-    /// evolutionary restarts, transfer seeds and optional surrogate
-    /// pre-screening.
-    Portfolio,
-}
-
-impl std::fmt::Display for SearchStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Greedy => "greedy",
-            Self::Portfolio => "portfolio",
-        })
-    }
-}
-
-impl std::str::FromStr for SearchStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "greedy" => Ok(Self::Greedy),
-            "portfolio" => Ok(Self::Portfolio),
-            other => Err(format!("unknown search strategy `{other}`")),
-        }
-    }
-}
+/// Initial simulated-annealing temperature, in round-trip row-hit rate:
+/// a downhill move of Δ is accepted with probability `exp(Δ/T)`, and `T`
+/// cools by 15 % per climb step.
+const SA_TEMPERATURE: f64 = 150.0 * 1e-6;
 
 /// Tuning knobs of a [`MappingSearch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,38 +92,21 @@ pub struct SearchSettings {
     /// RNG seed; identical seeds reproduce identical searches bit-for-bit,
     /// regardless of the worker count.
     pub seed: u64,
-    /// Number of hill-climb starting points (clamped to ≥ 1).  Start 0 is
-    /// the balanced-tiling heuristic, start 1 the controller's default
-    /// decode chain, further starts are seeded random shuffles (the
-    /// portfolio strategy inserts diagonal-fold, transfer-seed and
-    /// evolutionary starts — see the [module documentation](self)).
+    /// Number of climb starting points (clamped to ≥ 1): 0 = balanced
+    /// tiling, 1 = its mirror, 2 = the controller's default decode chain,
+    /// 3–4 = diagonal-fold starts, 5–7 = optimized-mimic tilings, then
+    /// alternating elite mutations and seeded random shuffles (see the
+    /// [module documentation](self)).
     pub restarts: u32,
-    /// Maximum number of full-size candidate evaluations across all
-    /// restarts (clamped to ≥ 1).  The row-major/optimized reference
-    /// evaluations and surrogate pre-screens are not counted against the
-    /// budget.
+    /// Maximum number of candidate evaluations across the tile sweep and
+    /// all restarts (clamped to ≥ 1).  The row-major/optimized reference
+    /// evaluations are not counted against the budget.
     pub budget: u32,
     /// Neighbours proposed per climb step (clamped to ≥ 1).
     pub neighbors: u32,
     /// Worker threads for candidate batches (0 = all cores).  Does not
     /// affect results, only wall-clock time.
     pub workers: usize,
-    /// Search algorithm; [`SearchStrategy::Greedy`] preserves the original
-    /// behaviour exactly.
-    pub strategy: SearchStrategy,
-    /// Portfolio only: when ≥ 2, candidates are pre-screened at
-    /// `bursts / surrogate_divisor` bursts and only the best
-    /// [`promote`](Self::promote) graduate to full evaluation.  0 or 1
-    /// disables the surrogate.
-    pub surrogate_divisor: u32,
-    /// Portfolio only: candidates promoted from each surrogate batch to
-    /// full-size evaluation (clamped to ≥ 1).
-    pub promote: u32,
-    /// Portfolio only: initial simulated-annealing temperature in
-    /// **millionths** of round-trip row-hit rate (an integer so the
-    /// settings stay `Copy + Eq`).  0 rejects every non-improving move,
-    /// recovering greedy acceptance.
-    pub sa_temp_micro: u32,
 }
 
 impl Default for SearchSettings {
@@ -178,10 +117,6 @@ impl Default for SearchSettings {
             budget: 400,
             neighbors: 8,
             workers: 0,
-            strategy: SearchStrategy::Greedy,
-            surrogate_divisor: 0,
-            promote: 2,
-            sa_temp_micro: 150,
         }
     }
 }
@@ -208,9 +143,6 @@ pub struct SearchRecord {
     pub accepted_moves: u32,
     /// Interleaver size (bursts) the candidates were evaluated at.
     pub bursts: u64,
-    /// Surrogate (short-burst) evaluations spent pre-screening candidates;
-    /// 0 for the greedy strategy or a disabled surrogate.
-    pub surrogate_evaluations: u32,
     /// MSB-first bit codes of the best discovered permutation (parseable by
     /// [`BitPermutation`]'s `FromStr`).  Empty when the winner has no
     /// bit-sliced form (a `tiled:HxW` layout from the free-shape tile
@@ -292,10 +224,10 @@ impl SearchRecord {
 }
 
 /// Seeded search over the address-mapping design space of one DRAM
-/// configuration — greedy bit-swap hill-climbing or the hybrid
-/// permutation+fold portfolio, per [`SearchSettings::strategy`].
+/// configuration: a free-shape tile sweep, then annealed climbs over
+/// hybrid permutation+fold candidates from a deterministic start portfolio.
 ///
-/// See the [module documentation](self) for the algorithms and the
+/// See the [module documentation](self) for the algorithm and the
 /// determinism contract.
 #[derive(Debug, Clone)]
 pub struct MappingSearch {
@@ -303,7 +235,6 @@ pub struct MappingSearch {
     spec: InterleaverSpec,
     controller: ControllerConfig,
     settings: SearchSettings,
-    transfer: Vec<(BitPermutation, XorFold)>,
 }
 
 /// One point of the hybrid design space: a bit permutation plus a
@@ -311,8 +242,7 @@ pub struct MappingSearch {
 type Candidate = (BitPermutation, XorFold);
 
 /// The [`MappingKind`] a candidate evaluates as: plain `Permutation` when
-/// the fold is identity (keeping greedy labels unchanged), `XorFolded`
-/// otherwise.
+/// the fold is identity, `XorFolded` otherwise.
 fn candidate_kind(candidate: &Candidate) -> MappingKind {
     let (permutation, fold) = *candidate;
     if fold.is_identity() {
@@ -341,7 +271,6 @@ impl MappingSearch {
             spec,
             controller: ControllerConfig::default(),
             settings,
-            transfer: Vec::new(),
         }
     }
 
@@ -352,97 +281,46 @@ impl MappingSearch {
         self
     }
 
-    /// Seeds the portfolio start list with candidates won on *other*
-    /// presets (cross-preset transfer).  Seeds that do not validate for
-    /// this configuration's geometry/topology are skipped at start time,
-    /// so callers can pass one winner list to every preset.  Ignored by
-    /// the greedy strategy.
-    #[must_use]
-    pub fn with_transfer_seeds(mut self, seeds: &[(BitPermutation, XorFold)]) -> Self {
-        self.transfer = seeds.to_vec();
-        self
-    }
-
     /// The settings the search runs with.
     #[must_use]
     pub fn settings(&self) -> &SearchSettings {
         &self.settings
     }
 
-    /// Scores one explicit candidate under this search's scenario,
-    /// returning `(candidate, row_major, optimized)` records — the
-    /// search's own evaluation path exposed for probing tools.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExpError`] when the candidate does not validate for the
-    /// configuration or a simulation fails.
-    pub fn score_candidate(
-        &self,
-        permutation: BitPermutation,
-        fold: XorFold,
-    ) -> Result<(Record, Record, Record), ExpError> {
-        self.score_kind(candidate_kind(&(permutation, fold)))
+    fn scenario(&self, kind: MappingKind) -> Scenario {
+        Scenario::custom(self.dram.clone(), kind, self.spec).with_controller(self.controller)
     }
 
-    /// Scores one explicit [`MappingKind`] design point (any family,
-    /// including the free-shape `tiled:<h>x<w>` layouts) under this
-    /// search's scenario — see [`MappingSearch::score_candidate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExpError`] when the mapping does not build for the
-    /// configuration or a simulation fails.
-    pub fn score_kind(&self, kind: MappingKind) -> Result<(Record, Record, Record), ExpError> {
-        let mut cache = HashMap::new();
-        let mut evaluations = 0;
-        let record = self
-            .evaluate_kinds(&[kind], self.spec, &mut cache, &mut evaluations)?
-            .pop()
-            .expect("one kind in, one record out");
-        let (row_major, optimized) = self.reference_records()?;
-        Ok((record, row_major, optimized))
-    }
-
-    fn scenario_at(&self, kind: MappingKind, spec: InterleaverSpec) -> Scenario {
-        Scenario::custom(self.dram.clone(), kind, spec).with_controller(self.controller)
-    }
-
-    /// Evaluates a batch of candidates at `spec` bursts through the shared
-    /// [`Experiment`] worker pool, consulting and filling `cache`.
-    ///
-    /// The cache is keyed on the full scenario fingerprint (its `Display`
-    /// string: standard, topology, mapping, burst count, refresh,
-    /// scheduling, engine, …), **not** the candidate alone — the same
-    /// candidate evaluated under a surrogate spec and at full size are
-    /// different measurements and must never alias (the pre-fix cache
-    /// keyed on the permutation and silently returned whichever landed
-    /// first).
-    fn evaluate_at(
+    /// Evaluates a batch of candidates through the shared [`Experiment`]
+    /// worker pool, consulting and filling `cache`.
+    fn evaluate(
         &self,
         candidates: &[Candidate],
-        spec: InterleaverSpec,
         cache: &mut HashMap<String, Record>,
         evaluations: &mut u32,
     ) -> Result<Vec<Record>, ExpError> {
         let kinds: Vec<MappingKind> = candidates.iter().map(candidate_kind).collect();
-        self.evaluate_kinds(&kinds, spec, cache, evaluations)
+        self.evaluate_kinds(&kinds, cache, evaluations)
     }
 
-    /// [`Self::evaluate_at`] over arbitrary [`MappingKind`] design points
+    /// [`Self::evaluate`] over arbitrary [`MappingKind`] design points
     /// (the hybrid candidates map through [`candidate_kind`]; the tiled
     /// family evaluates its kinds directly).
+    ///
+    /// The cache is keyed on the full scenario fingerprint (its `Display`
+    /// string: standard, topology, mapping, burst count, refresh,
+    /// scheduling, engine, …), so a cached record always describes exactly
+    /// the scenario asked for.
     fn evaluate_kinds(
         &self,
         kinds: &[MappingKind],
-        spec: InterleaverSpec,
         cache: &mut HashMap<String, Record>,
         evaluations: &mut u32,
     ) -> Result<Vec<Record>, ExpError> {
         let keyed: Vec<(String, Scenario)> = kinds
             .iter()
             .map(|kind| {
-                let scenario = self.scenario_at(*kind, spec);
+                let scenario = self.scenario(*kind);
                 (scenario.to_string(), scenario)
             })
             .collect();
@@ -456,14 +334,7 @@ impl MappingSearch {
             unique
         };
         if !fresh.is_empty() {
-            let scenarios: Vec<Scenario> = fresh.iter().map(|(_, s)| s.clone()).collect();
-            let experiment = Experiment::new(scenarios);
-            let experiment = if self.settings.workers == 0 {
-                experiment.with_auto_workers()
-            } else {
-                experiment.with_workers(self.settings.workers)
-            };
-            let records = experiment.run()?;
+            let records = self.run_batch(fresh.iter().map(|(_, s)| s.clone()).collect())?;
             *evaluations += fresh.len() as u32;
             for ((key, _), record) in fresh.into_iter().zip(records) {
                 cache.insert(key, record);
@@ -475,34 +346,25 @@ impl MappingSearch {
     /// Evaluates the row-major and optimized references (not counted
     /// against the candidate budget).
     fn reference_records(&self) -> Result<(Record, Record), ExpError> {
-        let scenarios = vec![
-            self.scenario_at(MappingKind::RowMajor, self.spec),
-            self.scenario_at(MappingKind::Optimized, self.spec),
-        ];
+        let mut records = self.run_batch(vec![
+            self.scenario(MappingKind::RowMajor),
+            self.scenario(MappingKind::Optimized),
+        ])?;
+        let optimized = records.pop().expect("two references");
+        let row_major = records.pop().expect("two references");
+        Ok((row_major, optimized))
+    }
+
+    /// Runs `scenarios` through an [`Experiment`] on the configured
+    /// workers, returning their records in order.
+    fn run_batch(&self, scenarios: Vec<Scenario>) -> Result<Vec<Record>, ExpError> {
         let experiment = Experiment::new(scenarios);
         let experiment = if self.settings.workers == 0 {
             experiment.with_auto_workers()
         } else {
             experiment.with_workers(self.settings.workers)
         };
-        let mut records = experiment.run()?;
-        let optimized = records.pop().expect("two references");
-        let row_major = records.pop().expect("two references");
-        Ok((row_major, optimized))
-    }
-
-    /// The reduced-size spec used for surrogate pre-screens, or `None`
-    /// when the surrogate is disabled or would not actually be smaller.
-    fn surrogate_spec(&self) -> Option<InterleaverSpec> {
-        let divisor = self.settings.surrogate_divisor;
-        if divisor < 2 {
-            return None;
-        }
-        let bursts = (self.spec.burst_count() / u64::from(divisor)).max(1_000);
-        if bursts >= self.spec.burst_count() {
-            return None;
-        }
-        Some(InterleaverSpec::from_burst_count(bursts))
+        experiment.run()
     }
 
     /// The deterministic free-shape tile shortlist of the portfolio: the
@@ -542,37 +404,6 @@ impl MappingSearch {
             .collect()
     }
 
-    /// The deterministic starting permutation of `restart`.
-    fn starting_point(&self, restart: u32, rng: &mut StdRng) -> Result<BitPermutation, ExpError> {
-        let topology = self.dram.topology;
-        match restart {
-            0 => balanced_start(&self.dram, topology, self.spec.dimension(), false),
-            1 => balanced_start(&self.dram, topology, self.spec.dimension(), true),
-            2 => Ok(BitPermutation::for_scheme(
-                self.dram.decode_scheme,
-                &self.dram.geometry,
-                topology,
-            )?),
-            _ => {
-                let mut permutation = BitPermutation::for_scheme(
-                    self.dram.decode_scheme,
-                    &self.dram.geometry,
-                    topology,
-                )?;
-                // Fisher–Yates over the bit positions, driven by the seeded
-                // RNG, yields a uniform random field assignment.
-                let bits = permutation.total_bits() as usize;
-                for a in (1..bits).rev() {
-                    let b = rng.gen_range(0..a + 1);
-                    if a != b {
-                        permutation = permutation.with_swap(a, b);
-                    }
-                }
-                Ok(permutation)
-            }
-        }
-    }
-
     /// Runs the search and returns the [`SearchRecord`] of the best
     /// discovered mapping.
     ///
@@ -581,14 +412,6 @@ impl MappingSearch {
     /// Returns [`ExpError`] if the interleaver does not fit the padded
     /// permutation space of the device, or any evaluation fails.
     pub fn run(&self) -> Result<SearchRecord, ExpError> {
-        match self.settings.strategy {
-            SearchStrategy::Greedy => self.run_greedy(),
-            SearchStrategy::Portfolio => self.run_portfolio(),
-        }
-    }
-
-    /// The original greedy bit-swap hill-climb over pure permutations.
-    fn run_greedy(&self) -> Result<SearchRecord, ExpError> {
         let restarts = self.settings.restarts.max(1);
         let budget = self.settings.budget.max(1);
         let neighbors = self.settings.neighbors.max(1);
@@ -598,106 +421,7 @@ impl MappingSearch {
         let mut evaluations = 0u32;
         let mut accepted_moves = 0u32;
         let mut best: Option<(Candidate, Record)> = None;
-
-        'restarts: for restart in 0..restarts {
-            if evaluations >= budget {
-                break;
-            }
-            // One RNG per restart keeps restarts independent of each other's
-            // step counts (and therefore insensitive to early stops).
-            let mut rng = StdRng::seed_from_u64(
-                self.settings.seed ^ u64::from(restart).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let mut current: Candidate =
-                (self.starting_point(restart, &mut rng)?, XorFold::identity());
-            let mut current_record = self
-                .evaluate_at(&[current], self.spec, &mut cache, &mut evaluations)?
-                .pop()
-                .expect("one candidate in, one record out");
-            let improves_best = match &best {
-                None => true,
-                Some((_, record)) => better(&current_record, record),
-            };
-            if improves_best {
-                best = Some((current, current_record.clone()));
-            }
-            while evaluations < budget {
-                let bits = current.0.total_bits() as usize;
-                let batch = (neighbors as usize).min((budget - evaluations) as usize);
-                let mut candidates: Vec<Candidate> = Vec::with_capacity(batch);
-                let mut guard = 0;
-                while candidates.len() < batch && guard < 64 * batch {
-                    guard += 1;
-                    let a = rng.gen_range(0..bits);
-                    let b = rng.gen_range(0..bits);
-                    let fields = current.0.fields();
-                    if fields[a] == fields[b] {
-                        continue;
-                    }
-                    let swapped = (current.0.with_swap(a, b), current.1);
-                    if !candidates.contains(&swapped) {
-                        candidates.push(swapped);
-                    }
-                }
-                if candidates.is_empty() {
-                    continue 'restarts;
-                }
-                let records =
-                    self.evaluate_at(&candidates, self.spec, &mut cache, &mut evaluations)?;
-                let winner = candidates
-                    .iter()
-                    .zip(&records)
-                    .max_by(|(_, x), (_, y)| {
-                        score(x).partial_cmp(&score(y)).expect("scores are finite")
-                    })
-                    .expect("non-empty batch");
-                if better(winner.1, &current_record) {
-                    current = *winner.0;
-                    current_record = winner.1.clone();
-                    accepted_moves += 1;
-                    if better(&current_record, &best.as_ref().expect("seeded above").1) {
-                        best = Some((current, current_record.clone()));
-                    }
-                } else {
-                    // Local optimum: spend the rest of the budget elsewhere.
-                    continue 'restarts;
-                }
-            }
-            break;
-        }
-
-        let (candidate, best_record) = best.expect("at least one restart evaluated");
-        Ok(self.finish(
-            candidate.0.to_string(),
-            candidate.1.to_string(),
-            best_record,
-            restarts,
-            budget,
-            evaluations,
-            0,
-            accepted_moves,
-            row_major,
-            optimized,
-        ))
-    }
-
-    /// The hybrid portfolio search: annealed acceptance, fold moves,
-    /// evolutionary restarts, transfer seeds and surrogate pre-screens.
-    fn run_portfolio(&self) -> Result<SearchRecord, ExpError> {
-        let restarts = self.settings.restarts.max(1);
-        let budget = self.settings.budget.max(1);
-        let neighbors = self.settings.neighbors.max(1);
-        let promote = self.settings.promote.max(1) as usize;
-        let temperature0 = f64::from(self.settings.sa_temp_micro) * 1e-6;
-        let surrogate = self.surrogate_spec();
-        let (row_major, optimized) = self.reference_records()?;
-
-        let mut cache: HashMap<String, Record> = HashMap::new();
-        let mut evaluations = 0u32;
-        let mut surrogate_evaluations = 0u32;
-        let mut accepted_moves = 0u32;
-        let mut best: Option<(Candidate, Record)> = None;
-        // Top fully-evaluated candidates, feeding evolutionary restarts.
+        // Top evaluated candidates, feeding evolutionary restarts.
         let mut elite: Vec<(Candidate, Record)> = Vec::new();
 
         // Deterministic free-shape tile sweep before the annealed climbs.
@@ -710,7 +434,7 @@ impl MappingSearch {
             .take(budget.saturating_sub(1) as usize)
             .collect();
         if !tiled.is_empty() {
-            let records = self.evaluate_kinds(&tiled, self.spec, &mut cache, &mut evaluations)?;
+            let records = self.evaluate_kinds(&tiled, &mut cache, &mut evaluations)?;
             for (kind, record) in tiled.into_iter().zip(records) {
                 let improves = match &best_tiled {
                     None => true,
@@ -727,18 +451,20 @@ impl MappingSearch {
                 break;
             }
             // Budget slicing: restart `r` may climb until the run has spent
-            // `ceil(budget * (r + 1) / restarts)` full evaluations, so an
-            // early climb that anneals for a long time cannot starve the
-            // later deterministic starts (mimic tilings, transfer seeds);
-            // unspent slices roll forward.
+            // `ceil(budget * (r + 1) / restarts)` evaluations, so an early
+            // climb that anneals for a long time cannot starve the later
+            // deterministic starts (mimic tilings); unspent slices roll
+            // forward.
             let ceiling = (u64::from(budget) * u64::from(restart + 1)).div_ceil(restarts.into());
             let ceiling = u32::try_from(ceiling).unwrap_or(budget).min(budget);
+            // One RNG per restart keeps restarts independent of each other's
+            // step counts (and therefore insensitive to early stops).
             let mut rng = StdRng::seed_from_u64(
                 self.settings.seed ^ u64::from(restart).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
-            let mut current = self.portfolio_start(restart, &elite, &mut rng)?;
+            let mut current = self.start(restart, &elite, &mut rng)?;
             let mut current_record = self
-                .evaluate_at(&[current], self.spec, &mut cache, &mut evaluations)?
+                .evaluate(&[current], &mut cache, &mut evaluations)?
                 .pop()
                 .expect("one candidate in, one record out");
             update_elite(&mut elite, current, &current_record);
@@ -749,53 +475,30 @@ impl MappingSearch {
             if improves_best {
                 best = Some((current, current_record.clone()));
             }
-            let mut temperature = temperature0;
+            let mut temperature = SA_TEMPERATURE;
             let mut rejections = 0u32;
-            // Each step spends ≥ 1 fresh full evaluation in the common
-            // case; the step cap bounds pathological all-cache-hit climbs.
+            // Each step spends ≥ 1 fresh evaluation in the common case; the
+            // step cap bounds pathological all-cache-hit climbs.
             let mut steps = 0u32;
             while evaluations < ceiling && steps < budget {
                 steps += 1;
-                let batch = self.propose_moves(current, neighbors as usize, &mut rng);
-                if batch.is_empty() {
-                    continue 'restarts;
-                }
-                // Surrogate pre-screen: rank the batch at reduced size and
-                // promote only the top-k to a full evaluation.  Ties break
-                // on batch order, which is itself deterministic.
-                let finalists: Vec<Candidate> = match surrogate {
-                    Some(spec) if batch.len() > promote => {
-                        let screened =
-                            self.evaluate_at(&batch, spec, &mut cache, &mut surrogate_evaluations)?;
-                        let mut order: Vec<usize> = (0..batch.len()).collect();
-                        order.sort_by(|&a, &b| {
-                            score(&screened[b])
-                                .partial_cmp(&score(&screened[a]))
-                                .expect("scores are finite")
-                                .then(a.cmp(&b))
-                        });
-                        order.truncate(promote);
-                        order.into_iter().map(|index| batch[index]).collect()
-                    }
-                    _ => batch,
-                };
-                let finalists: Vec<Candidate> = finalists
+                let batch: Vec<Candidate> = self
+                    .propose_moves(current, neighbors as usize, &mut rng)
                     .into_iter()
                     .take((budget - evaluations) as usize)
                     .collect();
-                if finalists.is_empty() {
-                    break 'restarts;
+                if batch.is_empty() {
+                    continue 'restarts;
                 }
-                let records =
-                    self.evaluate_at(&finalists, self.spec, &mut cache, &mut evaluations)?;
-                let (winner, winner_record) = finalists
+                let records = self.evaluate(&batch, &mut cache, &mut evaluations)?;
+                let (winner, winner_record) = batch
                     .iter()
                     .zip(&records)
                     .max_by(|(_, x), (_, y)| {
                         score(x).partial_cmp(&score(y)).expect("scores are finite")
                     })
                     .expect("non-empty batch");
-                for (candidate, record) in finalists.iter().zip(&records) {
+                for (candidate, record) in batch.iter().zip(&records) {
                     update_elite(&mut elite, *candidate, record);
                 }
                 if better(winner_record, &current_record) {
@@ -811,6 +514,7 @@ impl MappingSearch {
                     // exp(Δ/T) to tunnel through boundary-loss plateaus.
                     let delta = round_trip_row_hit_rate(winner_record)
                         - round_trip_row_hit_rate(&current_record);
+                    // (A temperature cooled to zero rejects without a draw.)
                     let accept =
                         temperature > 0.0 && rng.gen::<f64>() < (delta / temperature).exp();
                     if accept {
@@ -835,7 +539,7 @@ impl MappingSearch {
         // the reported record.  A tiled winner has no bit-sliced form, so
         // `permutation`/`fold` stay empty and `best.mapping` (the
         // `tiled:HxW` label) is the authoritative description.
-        let (permutation, fold, best_record) = match best_tiled {
+        let (permutation, fold, best) = match best_tiled {
             Some((_, tiled_record)) if better(&tiled_record, &best_record) => {
                 (String::new(), String::new(), tiled_record)
             }
@@ -845,36 +549,7 @@ impl MappingSearch {
                 best_record,
             ),
         };
-        Ok(self.finish(
-            permutation,
-            fold,
-            best_record,
-            restarts,
-            budget,
-            evaluations,
-            surrogate_evaluations,
-            accepted_moves,
-            row_major,
-            optimized,
-        ))
-    }
-
-    /// Assembles the [`SearchRecord`] shared by both strategies.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        &self,
-        permutation: String,
-        fold: String,
-        best: Record,
-        restarts: u32,
-        budget: u32,
-        evaluations: u32,
-        surrogate_evaluations: u32,
-        accepted_moves: u32,
-        row_major: Record,
-        optimized: Record,
-    ) -> SearchRecord {
-        SearchRecord {
+        Ok(SearchRecord {
             dram_label: self.dram.label(),
             seed: self.settings.seed,
             restarts,
@@ -882,21 +557,19 @@ impl MappingSearch {
             evaluations,
             accepted_moves,
             bursts: self.spec.burst_count(),
-            surrogate_evaluations,
             permutation,
             fold,
             best,
             row_major,
             optimized,
-        }
+        })
     }
 
-    /// The deterministic starting candidate of a portfolio `restart`:
+    /// The deterministic starting candidate of `restart`:
     /// balanced/mirrored/scheme starts, the two diagonal-fold starts, the
-    /// three [optimized-mimic](Self::optimized_mimic_start) tilings,
-    /// transfer seeds valid for this geometry, then alternating
-    /// elite-mutation and random-shuffle starts.
-    fn portfolio_start(
+    /// three [optimized-mimic](Self::optimized_mimic_start) tilings, then
+    /// alternating elite-mutation and random-shuffle starts.
+    fn start(
         &self,
         restart: u32,
         elite: &[(Candidate, Record)],
@@ -955,31 +628,15 @@ impl MappingSearch {
         }
     }
 
-    /// Late-restart starts: transfer seeds by slot, then alternating
-    /// elite-mutation and seeded random-shuffle starts.
+    /// Late-restart starts: alternating elite-mutation and seeded
+    /// random-shuffle starts.
     fn exploration_start(
         &self,
         restart: u32,
         elite: &[(Candidate, Record)],
         rng: &mut StdRng,
     ) -> Result<Candidate, ExpError> {
-        let topology = self.dram.topology;
         let identity = XorFold::identity();
-        let slot = restart.saturating_sub(8) as usize;
-        let transfer: Vec<Candidate> = self
-            .transfer
-            .iter()
-            .copied()
-            .filter(|(permutation, fold)| {
-                permutation
-                    .validate_for(&self.dram.geometry, topology)
-                    .is_ok()
-                    && fold.validate_for(permutation).is_ok()
-            })
-            .collect();
-        if slot < transfer.len() {
-            return Ok(transfer[slot]);
-        }
         if restart % 2 == 1 && !elite.is_empty() {
             // Evolutionary restart: perturb an elite member.
             let (mut candidate, _) = elite[rng.gen_range(0..elite.len())];
@@ -990,10 +647,14 @@ impl MappingSearch {
             }
             return Ok(candidate);
         }
-        // Seeded random shuffle (as in greedy), occasionally with a
-        // random fold bolted on for extra start diversity.
-        let mut permutation =
-            BitPermutation::for_scheme(self.dram.decode_scheme, &self.dram.geometry, topology)?;
+        // Seeded random shuffle, occasionally with a random fold bolted on
+        // for extra start diversity.  Fisher–Yates over the bit positions
+        // yields a uniform random field assignment.
+        let mut permutation = BitPermutation::for_scheme(
+            self.dram.decode_scheme,
+            &self.dram.geometry,
+            self.dram.topology,
+        )?;
         let bits = permutation.total_bits() as usize;
         for a in (1..bits).rev() {
             let b = rng.gen_range(0..a + 1);
@@ -1321,7 +982,6 @@ mod tests {
             budget,
             neighbors: 4,
             workers: 1,
-            ..SearchSettings::default()
         }
     }
 
@@ -1354,12 +1014,7 @@ mod tests {
             let mut cache = HashMap::new();
             let mut evaluations = 0;
             let mimic = search
-                .evaluate_at(
-                    &[(permutation, fold)],
-                    search.spec,
-                    &mut cache,
-                    &mut evaluations,
-                )
+                .evaluate(&[(permutation, fold)], &mut cache, &mut evaluations)
                 .unwrap()
                 .pop()
                 .unwrap();
@@ -1418,10 +1073,7 @@ mod tests {
         let record = MappingSearch::new(
             dram,
             InterleaverSpec::from_burst_count(200_000),
-            SearchSettings {
-                strategy: SearchStrategy::Portfolio,
-                ..settings(10)
-            },
+            settings(10),
         )
         .run()
         .unwrap();
@@ -1506,12 +1158,9 @@ mod tests {
             "balanced start must beat row-major's thrashing read phase"
         );
         assert!(outcome.best.min_utilization > 0.5);
-        // The permutation string replays: it parses and labels the record.
-        let parsed: BitPermutation = outcome.permutation.parse().unwrap();
-        assert_eq!(
-            outcome.best.mapping,
-            MappingKind::Permutation(parsed).label()
-        );
+        // The winner's label replays: it parses back to the same label.
+        let parsed = MappingKind::parse_label(&outcome.best.mapping).unwrap();
+        assert_eq!(outcome.best.mapping, parsed.label());
     }
 
     #[test]
@@ -1521,11 +1170,8 @@ mod tests {
         assert_eq!(outcome.budget, 5);
     }
 
-    /// Regression test for the cache-aliasing bug: the candidate cache
-    /// used to key on the permutation alone, so the *same* candidate
-    /// evaluated under two different scenarios (e.g. a short surrogate run
-    /// vs the full-size run) silently returned whichever record landed
-    /// first.  The key must cover every scenario axis.
+    /// The cache is keyed on the scenario, so re-asking for an evaluated
+    /// candidate is a pure cache hit that spends no budget.
     #[test]
     fn cache_keys_on_the_full_scenario_not_the_candidate_alone() {
         let s = search(4);
@@ -1541,32 +1187,22 @@ mod tests {
         );
         let mut cache = HashMap::new();
         let mut evaluations = 0;
-        let full = s
-            .evaluate_at(&[candidate], s.spec, &mut cache, &mut evaluations)
+        let first = s
+            .evaluate(&[candidate], &mut cache, &mut evaluations)
             .unwrap();
-        let short_spec = InterleaverSpec::from_burst_count(1_000);
-        let short = s
-            .evaluate_at(&[candidate], short_spec, &mut cache, &mut evaluations)
+        assert_eq!(evaluations, 1);
+        assert_eq!(cache.len(), 1);
+        let again = s
+            .evaluate(&[candidate], &mut cache, &mut evaluations)
             .unwrap();
-        assert_eq!(evaluations, 2, "two scenarios, two evaluations");
-        assert_eq!(cache.len(), 2, "distinct scenario keys must not alias");
-        assert_ne!(
-            full[0], short[0],
-            "a surrogate record must never masquerade as a full-size one"
-        );
-        // Re-asking for either scenario is now a pure cache hit.
-        s.evaluate_at(&[candidate], s.spec, &mut cache, &mut evaluations)
-            .unwrap();
-        assert_eq!(evaluations, 2);
+        assert_eq!(evaluations, 1, "a cached scenario costs no evaluation");
+        assert_eq!(first, again);
     }
 
     #[test]
     fn portfolio_search_is_reproducible_and_labels_round_trip() {
         let portfolio = SearchSettings {
-            strategy: SearchStrategy::Portfolio,
             restarts: 6,
-            surrogate_divisor: 4,
-            promote: 2,
             ..settings(14)
         };
         let dram = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
@@ -1586,10 +1222,6 @@ mod tests {
         .unwrap();
         assert_eq!(a, b, "portfolio must be worker-count independent");
         assert!(a.evaluations <= a.budget);
-        assert!(
-            a.surrogate_evaluations > 0,
-            "divisor 4 on 3 000 bursts must trigger the surrogate"
-        );
         // The winner replays through parse_label whichever family won: a
         // tiled winner has no bit-sliced form and empty permutation/fold.
         if a.permutation.is_empty() {
@@ -1607,44 +1239,8 @@ mod tests {
         assert_eq!(parsed.label(), a.best.mapping);
         assert!(
             a.discovered_row_hit_rate() > round_trip_row_hit_rate(&a.row_major),
-            "the portfolio keeps the greedy starts, so it beats row-major too"
+            "the balanced-tiling start already beats row-major"
         );
-    }
-
-    #[test]
-    fn transfer_seeds_skip_mismatched_geometries() {
-        // A DDR3 permutation (1 bank-group bit fewer) must not poison a
-        // DDR4 portfolio; an in-geometry seed must be usable as a start.
-        let ddr3 = DramConfig::preset(DramStandard::Ddr3, 1600).unwrap();
-        let ddr4 = DramConfig::preset(DramStandard::Ddr4, 3200).unwrap();
-        let foreign = balanced_start(&ddr3, ChannelTopology::default(), 3_000, false).unwrap();
-        let native = balanced_start(&ddr4, ChannelTopology::default(), 3_000, true).unwrap();
-        let seeds = vec![
-            (foreign, XorFold::identity()),
-            (native, XorFold::identity()),
-        ];
-        let portfolio = SearchSettings {
-            strategy: SearchStrategy::Portfolio,
-            restarts: 6,
-            ..settings(8)
-        };
-        let spec = InterleaverSpec::from_burst_count(3_000);
-        let outcome = MappingSearch::new(ddr4, spec, portfolio)
-            .with_transfer_seeds(&seeds)
-            .run()
-            .unwrap();
-        // Restart 5 consumes the first *valid* seed (the native one); the
-        // foreign seed is filtered out instead of failing the run.
-        assert!(outcome.evaluations <= outcome.budget);
-    }
-
-    #[test]
-    fn strategy_strings_round_trip() {
-        for strategy in [SearchStrategy::Greedy, SearchStrategy::Portfolio] {
-            let parsed: SearchStrategy = strategy.to_string().parse().unwrap();
-            assert_eq!(parsed, strategy);
-        }
-        assert!("annealed".parse::<SearchStrategy>().is_err());
     }
 
     #[test]

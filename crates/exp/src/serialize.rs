@@ -257,7 +257,7 @@ pub fn records_to_csv(records: &[Record]) -> String {
 fn search_record_to_json(record: &SearchRecord) -> String {
     format!(
         "{{\"dram\":{},\"seed\":{},\"restarts\":{},\"budget\":{},\"evaluations\":{},\
-         \"surrogate_evaluations\":{},\"accepted_moves\":{},\"bursts\":{},\"permutation\":{},\
+         \"accepted_moves\":{},\"bursts\":{},\"permutation\":{},\
          \"fold\":{},\"discovered_row_hit_rate\":{},\"optimized_row_hit_rate\":{},\
          \"matches_or_beats_optimized\":{},\"beats_optimized\":{},\"row_hit_gain\":{},\
          \"utilization_gain\":{},\"best\":{},\"row_major\":{},\"optimized\":{}}}",
@@ -266,7 +266,6 @@ fn search_record_to_json(record: &SearchRecord) -> String {
         record.restarts,
         record.budget,
         record.evaluations,
-        record.surrogate_evaluations,
         record.accepted_moves,
         record.bursts,
         json_string(&record.permutation),
@@ -301,9 +300,9 @@ pub fn search_records_to_json(records: &[SearchRecord]) -> String {
     out
 }
 
-/// The CSV header emitted by [`search_records_to_csv`] (18 columns).
+/// The CSV header emitted by [`search_records_to_csv`] (17 columns).
 pub const SEARCH_CSV_HEADER: &str = "dram,seed,restarts,budget,evaluations,\
-surrogate_evaluations,accepted_moves,bursts,permutation,fold,discovered_row_hit_rate,\
+accepted_moves,bursts,permutation,fold,discovered_row_hit_rate,\
 optimized_row_hit_rate,row_major_row_hit_rate,discovered_min_utilization,\
 optimized_min_utilization,row_hit_gain,utilization_gain,beats_optimized";
 
@@ -315,13 +314,12 @@ pub fn search_records_to_csv(records: &[SearchRecord]) -> String {
     out.push('\n');
     for r in records {
         out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
             csv_field(&r.dram_label),
             r.seed,
             r.restarts,
             r.budget,
             r.evaluations,
-            r.surrogate_evaluations,
             r.accepted_moves,
             r.bursts,
             csv_field(&r.permutation),

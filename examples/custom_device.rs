@@ -1,8 +1,8 @@
 //! Custom-device exploration: the paper's mapping applies to *any*
 //! JEDEC-compliant DRAM, so this example builds a hypothetical device with the
-//! `DramConfigBuilder` (a wider-page, higher-clocked DDR4-class part) and a
-//! concatenated CCSDS coding chain, then checks that the optimized mapping
-//! still keeps both phases fast enough for a 100 Gbit/s downlink.
+//! `DramConfigBuilder` (a wider-page, higher-clocked DDR4-class part), checks
+//! that the optimized mapping still keeps both phases fast enough for a
+//! 100 Gbit/s downlink, and runs the RS(255,223) link the interleaver serves.
 //!
 //! ```text
 //! cargo run --release -p tbi --example custom_device
@@ -10,10 +10,9 @@
 
 use rand::SeedableRng;
 use tbi::dram::DramConfigBuilder;
-use tbi::satcom::concatenated::{ConcatenatedCode, ConcatenatedConfig};
 use tbi::{
-    BandwidthBudget, DramStandard, GilbertElliott, InterleaverSpec, MappingKind,
-    ThroughputEvaluator,
+    BandwidthBudget, DramStandard, GilbertElliott, InterleaverSpec, LinkConfig, LinkSimulation,
+    MappingKind, ThroughputEvaluator,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -47,21 +46,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The FEC chain this memory system serves: CCSDS concatenated coding.
-    let code = ConcatenatedCode::new(ConcatenatedConfig {
-        rs_code_len: 255,
-        rs_data_len: 223,
+    // The FEC chain this memory system serves: RS(255,223) code words
+    // behind the triangular interleaver on a bursty Gilbert-Elliott channel.
+    let link = LinkSimulation::new(LinkConfig {
         codewords: 8,
-        interleaved: true,
+        ..LinkConfig::default()
     })?;
-    let channel = GilbertElliott::new(0.0, 1.0, 0.003, 0.0);
+    let channel = GilbertElliott::new(0.001, 0.05, 0.0, 0.5);
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let report = code.transmit(&channel, &mut rng)?;
+    let report = link.run(&channel, &mut rng)?;
     println!(
-        "\nconcatenated CCSDS chain (rate {:.2}): inner residual BER {:.2e}, outer frame error rate {:.3}",
-        code.overall_rate(),
-        report.inner_bit_error_rate(),
-        report.frame_error_rate()
+        "\nRS(255,223) link (rate {:.2}): channel symbol error rate {:.2e}, frame error rate {:.3}, post-FEC BER {:.2e}",
+        link.code().rate(),
+        report.channel_symbol_error_rate(),
+        report.frame_error_rate(),
+        report.post_fec_ber()
     );
     Ok(())
 }

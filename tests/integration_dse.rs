@@ -1,6 +1,7 @@
-//! End-to-end tests of the bit-permutation design-space exploration:
-//! seed-reproducibility at any worker count, and replay of discovered
-//! permutations as ordinary scenarios on both timing engines.
+//! End-to-end tests of the mapping design-space exploration:
+//! seed-reproducibility at any worker count, and replay of every winner
+//! family (tiled, folded, permutation) as an ordinary scenario on both
+//! timing engines.
 
 use tbi::{
     BitPermutation, DramConfig, DramStandard, InterleaverSpec, MappingKind, MappingSearch,
@@ -14,7 +15,6 @@ fn settings(workers: usize) -> SearchSettings {
         budget: 10,
         neighbors: 4,
         workers,
-        ..SearchSettings::default()
     }
 }
 
@@ -43,22 +43,48 @@ fn search_is_bit_reproducible_for_a_fixed_seed_at_any_worker_count() {
     assert_eq!(one.best.activates, four.best.activates);
 }
 
-/// A discovered permutation replays as an ordinary scenario: the search's
-/// own record is reproduced exactly, on both timing engines.
+/// Replays a search winner from its label alone as an ordinary scenario on
+/// both timing engines; both must reproduce the search's own record.
+fn assert_winner_replays(dram: DramConfig, spec: InterleaverSpec, outcome: &tbi::SearchRecord) {
+    let winner = MappingKind::parse_label(&outcome.best.mapping).unwrap();
+    assert_eq!(winner.label(), outcome.best.mapping);
+    let scenario = Scenario::custom(dram, winner, spec);
+    let event = scenario.clone().run().unwrap();
+    let cycle = scenario.with_engine(TimingEngine::Cycle).run().unwrap();
+    assert_eq!(
+        event, cycle,
+        "both engines agree on {}",
+        outcome.best.mapping
+    );
+    assert_eq!(event, outcome.best, "replay reproduces the search record");
+}
+
+/// A discovered mapping replays as an ordinary scenario: the search's own
+/// record is reproduced exactly, on both timing engines.
 #[test]
 fn discovered_permutations_replay_as_ordinary_scenarios_on_both_engines() {
     let outcome = run_search(1);
-    let permutation: BitPermutation = outcome.permutation.parse().unwrap();
-    let dram = DramConfig::preset(DramStandard::Lpddr4, 4266).unwrap();
-    let scenario = Scenario::custom(
-        dram,
-        MappingKind::Permutation(permutation),
+    assert_winner_replays(
+        DramConfig::preset(DramStandard::Lpddr4, 4266).unwrap(),
         InterleaverSpec::from_burst_count(4_000),
+        &outcome,
     );
-    let event = scenario.clone().run().unwrap();
-    let cycle = scenario.with_engine(TimingEngine::Cycle).run().unwrap();
-    assert_eq!(event, cycle, "both engines agree on permutation mappings");
-    assert_eq!(event, outcome.best, "replay reproduces the search record");
+}
+
+/// A free-shape tiling winner has no bit-sliced form: only its
+/// `tiled:HxW` label describes it, and that label alone must replay.  On
+/// DDR3-800 the 11x11 tile strictly beats the paper's optimized scheme.
+#[test]
+fn tiled_winners_replay_from_their_label_on_both_engines() {
+    let dram = DramConfig::preset(DramStandard::Ddr3, 800).unwrap();
+    let spec = InterleaverSpec::from_burst_count(200_000);
+    let outcome = MappingSearch::new(dram.clone(), spec, settings(0))
+        .run()
+        .unwrap();
+    assert_eq!(outcome.best.mapping, "tiled:11x11");
+    assert!(outcome.permutation.is_empty() && outcome.fold.is_empty());
+    assert!(outcome.beats_optimized());
+    assert_winner_replays(dram, spec, &outcome);
 }
 
 /// Permutation design points ride the regular sweep machinery: they expand
